@@ -42,7 +42,6 @@ from .entanglement import (
 from .linalg import (
     NumericalFailureError,
     dagger,
-    eig_spectrum,
     inf_norm_diff,
     kron,
     matmul,
@@ -93,7 +92,6 @@ __all__ = [
     "esd_time_phase_werner",
     "NumericalFailureError",
     "dagger",
-    "eig_spectrum",
     "inf_norm_diff",
     "kron",
     "matmul",

@@ -11,10 +11,11 @@ gamma = exp(-rate * t / 2) and omega = sqrt(1 - gamma^2):
                   toward 1/2, so every input is driven to the maximally
                   mixed state.
 
-A channel acts either through its explicit Kraus operators (``apply``) or
-through closed-form update rules on X states (``propagate_x``).  Both routes
-preserve the X shape and agree to machine precision; the tests pin that
-equivalence.
+``propagate_x`` evolves X states with one closed-form rule for every kind
+and rate pair: each qubit's populations pass through a 2x2 stochastic map
+and both coherences shrink by gamma_A * gamma_B.  The explicit Kraus
+operators (``kraus_set``, applied by ``apply``) are the independent
+reference route; the tests and ``verify`` check the rule against them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .linalg import dagger, inf_norm_diff, kron, matmul
-from .states import OFF_X_POSITIONS, XState, from_dense, to_dense
+from .states import OFF_X_POSITIONS, XState
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -205,39 +206,45 @@ def apply(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _population_map(kind: str, gamma: float) -> tuple[float, float, float, float]:
+    """Row-major 2x2 stochastic map T(gamma^2) that one qubit's channel
+    applies to its (upper, lower) populations."""
+    g2 = gamma * gamma
+    if kind == "phase":
+        return 1.0, 0.0, 0.0, 1.0
+    if kind == "amplitude":
+        return g2, 0.0, 1.0 - g2, 1.0
+    stay = 0.5 * (1.0 + g2)
+    flip = 0.5 * (1.0 - g2)
+    return stay, flip, flip, stay
+
+
 def propagate_x(state: XState, spec: ChannelSpec, t: float) -> XState:
     """Evolve an X state for time t, staying in the six-parameter form.
 
-    phase uses its closed form for any rate pair.  amplitude and equalizing
-    use closed forms when the two rates are equal and otherwise fall back to
-    the dense Kraus sum; the X shape is preserved either way.
+    With the populations arranged as P = [[a, b], [c, d]] (rows indexed by
+    qubit A's level, columns by B's), the result is T_A P T_B^T, where each
+    qubit's map T(gamma^2) is the identity for phase, [[g2, 0], [1 - g2, 1]]
+    for amplitude and [[s, f], [f, s]] with s, f = (1 +- g2)/2 for
+    equalizing.  Both coherences are multiplied by gamma_A * gamma_B.  The
+    same rule holds for every kind and every rate pair.
     """
-    factors_a = damping(spec.rate_a, t)
-    factors_b = damping(spec.rate_b, t)
-    if spec.kind == "phase":
-        shrink = factors_a.gamma * factors_b.gamma
-        return XState(state.a, state.b, state.c, state.d, shrink * state.z, shrink * state.w)
-    if spec.rate_a != spec.rate_b:
-        return from_dense(apply(to_dense(state), kraus_set(spec, t)), tol=1e-10)
-    g2 = factors_a.gamma * factors_a.gamma
-    if spec.kind == "amplitude":
-        o2 = factors_a.omega * factors_a.omega
-        a = g2 * g2 * state.a
-        b = g2 * (state.b + o2 * state.a)
-        c = g2 * (state.c + o2 * state.a)
-        d = 1.0 - a - b - c
-        return XState(a, b, c, d, g2 * state.z, g2 * state.w)
-    # equalizing: each qubit keeps its level with probability (1 + g2)/2
-    stay = 0.5 * (1.0 + g2)
-    flip = 0.5 * (1.0 - g2)
-    ss = stay * stay
-    sf = stay * flip
-    ff = flip * flip
-    a = ss * state.a + sf * (state.b + state.c) + ff * state.d
-    b = ss * state.b + sf * (state.a + state.d) + ff * state.c
-    c = ss * state.c + sf * (state.a + state.d) + ff * state.b
-    d = ss * state.d + sf * (state.b + state.c) + ff * state.a
-    return XState(a, b, c, d, g2 * state.z, g2 * state.w)
+    gamma_a = damping(spec.rate_a, t).gamma
+    gamma_b = damping(spec.rate_b, t).gamma
+    ta00, ta01, ta10, ta11 = _population_map(spec.kind, gamma_a)
+    tb00, tb01, tb10, tb11 = _population_map(spec.kind, gamma_b)
+    # the two rows of T_A P; each then multiplies T_B^T
+    up0, up1 = ta00 * state.a + ta01 * state.c, ta00 * state.b + ta01 * state.d
+    dn0, dn1 = ta10 * state.a + ta11 * state.c, ta10 * state.b + ta11 * state.d
+    shrink = gamma_a * gamma_b
+    return XState(
+        up0 * tb00 + up1 * tb01,
+        up0 * tb10 + up1 * tb11,
+        dn0 * tb00 + dn1 * tb01,
+        dn0 * tb10 + dn1 * tb11,
+        shrink * state.z,
+        shrink * state.w,
+    )
 
 
 def x_form_residual(rho: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 Concurrence of a two-qubit density matrix rho comes from the spectrum of
 rho (sy x sy) conj(rho) (sy x sy): with eigenvalues lam_1 >= ... >= lam_4,
-C = max(0, sqrt(lam_1) - sqrt(lam_2) - sqrt(lam_3) - sqrt(lam_4)).  For X
+C = max(0, sqrt(lam_1) - sqrt(lam_2) - sqrt(lam_3) - sqrt(lam_4)); the
+square roots are computed as singular values of Wootters' matrix.  For X
 states the same number has the closed form
 C = 2 * max(0, |z| - sqrt(a*d), |w| - sqrt(b*c)); the two routes are checked
 against each other in the tests.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec, propagate_x
-from .linalg import PAULI_Y, NumericalFailureError, eig_spectrum, kron, matmul
+from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff, kron
 from .states import XState, _check_fidelity, werner_psi
 
 __all__ = [
@@ -39,7 +40,7 @@ __all__ = [
     "critical_fidelity_numeric",
 ]
 
-_IMAG_TOL = 1e-8
+_HERMITIAN_TOL = 1e-10
 _CLAMP_TOL = 1e-10
 
 _DEFAULT_HORIZON = 60.0
@@ -68,25 +69,28 @@ def concurrence_x(state: XState) -> float:
 def concurrence_general(rho: np.ndarray) -> float:
     """Concurrence of an arbitrary two-qubit density matrix.
 
-    Eigenvalues of the spin-flipped product whose real part falls in
-    [-1e-10, 0) are clamped to zero; anything more negative, or an imaginary
-    part above 1e-8, raises NumericalFailureError.
+    Wootters' factor route: with rho = W W^+ built from the eigenvectors of
+    rho, the singular values s_1 >= ... >= s_4 of W^T (sy x sy) W are the
+    square roots of the spin-flip spectrum, and
+    C = max(0, s_1 - s_2 - s_3 - s_4).  Non-finite entries raise ValueError.
+    A matrix that is not Hermitian within 1e-10, or has an eigenvalue below
+    -1e-10, raises NumericalFailureError; eigenvalues in [-1e-10, 0) are
+    clamped to zero.
     """
     rho = np.asarray(rho, dtype=complex)
-    flipped = matmul(matmul(_SIGMA_YY, rho.conj()), _SIGMA_YY)
-    lam = eig_spectrum(matmul(rho, flipped))
-    reals = []
-    for ev in lam:
-        ev = complex(ev)
-        if abs(ev.imag) > _IMAG_TOL:
-            raise NumericalFailureError(f"complex eigenvalue {ev} in spin-flip spectrum")
-        re = ev.real
-        if re < -_CLAMP_TOL:
-            raise NumericalFailureError(f"negative eigenvalue {re} in spin-flip spectrum")
-        reals.append(max(re, 0.0))
-    reals.sort(reverse=True)
-    roots = [math.sqrt(v) for v in reals]
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("matrix entries must be finite")
+    if inf_norm_diff(rho, rho.conj().T) > _HERMITIAN_TOL:
+        raise NumericalFailureError("density matrix is not Hermitian")
+    try:
+        lam, vecs = np.linalg.eigh(rho)
+        factor = vecs * np.sqrt(np.maximum(lam, 0.0))
+        s = np.linalg.svd(factor.T @ _SIGMA_YY @ factor, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigen- or singular-value iteration failed: {exc}") from exc
+    if lam[0] < -_CLAMP_TOL:
+        raise NumericalFailureError(f"negative eigenvalue {lam[0]} in density matrix")
+    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
 @dataclass(frozen=True)

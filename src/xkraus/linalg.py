@@ -1,8 +1,9 @@
 """Small dense complex linear algebra helpers.
 
 Everything operates on plain numpy arrays (2x2 or 4x4, complex128).  The
-wrappers pin dtypes and convert LAPACK non-convergence into a typed error so
-callers can map it onto a distinct exit code.
+wrappers pin dtypes.  NumericalFailureError is the typed error that callers
+raise for LAPACK non-convergence or unusable values, so the CLI can map it
+onto a distinct exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "kron",
     "matmul",
     "dagger",
-    "eig_spectrum",
     "inf_norm_diff",
 ]
 
@@ -46,21 +46,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m, dtype=complex).conj().T
-
-
-def eig_spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square complex matrix (no ordering guarantee).
-
-    Raises ValueError on non-finite input and NumericalFailureError when the
-    underlying QR iteration fails to converge.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def inf_norm_diff(a: np.ndarray, b: np.ndarray) -> float:

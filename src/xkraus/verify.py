@@ -72,10 +72,7 @@ def _check_oracle_equivalence(rng: np.random.Generator, trials: int) -> CheckRes
     for _ in range(trials):
         state = random_x_state(rng)
         for kind in CHANNEL_KINDS:
-            if kind == "phase":
-                spec = ChannelSpec(kind, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
-            else:
-                spec = ChannelSpec(kind)
+            spec = ChannelSpec(kind, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
             t = rng.uniform(0.0, 8.0)
             closed = to_dense(propagate_x(state, spec, t))
             dense = apply(to_dense(state), kraus_set(spec, t))
@@ -105,7 +102,7 @@ def _check_semigroup(rng: np.random.Generator, trials: int) -> CheckResult:
     for _ in range(trials):
         state = random_x_state(rng)
         kind = CHANNEL_KINDS[rng.integers(0, 3)]
-        spec = ChannelSpec(kind)
+        spec = ChannelSpec(kind, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
         t1 = rng.uniform(0.0, 4.0)
         t2 = rng.uniform(0.0, 4.0)
         two_steps = to_dense(propagate_x(propagate_x(state, spec, t1), spec, t2))

@@ -105,10 +105,7 @@ def test_criterion_05_closed_form_matches_operator_sum():
     for kind in CHANNEL_KINDS:
         for _ in range(1000):
             state = random_x_state(rng)
-            if kind == "phase":
-                spec = ChannelSpec(kind, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
-            else:
-                spec = ChannelSpec(kind)
+            spec = ChannelSpec(kind, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
             t = float(rng.uniform(0.0, 8.0))
             fast = to_dense(propagate_x(state, spec, t))
             slow = apply(to_dense(state), kraus_set(spec, t))
@@ -182,10 +179,7 @@ def test_criterion_10_semigroup_composition():
     for kind in CHANNEL_KINDS:
         for _ in range(200):
             state = random_x_state(rng)
-            if kind == "phase":
-                spec = ChannelSpec(kind, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
-            else:
-                spec = ChannelSpec(kind)
+            spec = ChannelSpec(kind, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
             t1 = float(rng.uniform(0.0, 4.0))
             t2 = float(rng.uniform(0.0, 4.0))
             stepped = propagate_x(propagate_x(state, spec, t1), spec, t2)

@@ -156,13 +156,11 @@ def test_equalizing_long_time_limit_is_maximally_mixed():
 def test_propagate_x_matches_kraus_sum():
     rng = np.random.default_rng(91)
     for kind in CHANNEL_KINDS:
-        for _ in range(100):
+        specs = [ChannelSpec(kind, rate_a=float(rng.uniform(0.0, 2.0)),
+                             rate_b=float(rng.uniform(0.0, 2.0))) for _ in range(100)]
+        specs += [ChannelSpec(kind), ChannelSpec(kind, rate_a=0.0, rate_b=1.3)]
+        for spec in specs:
             state = random_x_state(rng)
-            if kind == "phase":
-                spec = ChannelSpec(kind, rate_a=float(rng.uniform(0.2, 2.0)),
-                                   rate_b=float(rng.uniform(0.2, 2.0)))
-            else:
-                spec = ChannelSpec(kind)
             t = float(rng.uniform(0.0, 8.0))
             fast = to_dense(propagate_x(state, spec, t))
             slow = apply(to_dense(state), kraus_set(spec, t))
@@ -170,6 +168,7 @@ def test_propagate_x_matches_kraus_sum():
 
 
 def test_propagate_x_unequal_rates_fall_back_to_kraus_sum():
+    # the closed form at unequal rates lands on the dense Kraus sum
     rng = np.random.default_rng(92)
     for kind in ("amplitude", "equalizing"):
         spec = ChannelSpec(kind, rate_a=1.0, rate_b=0.3)
@@ -184,8 +183,9 @@ def test_propagate_x_unequal_rates_fall_back_to_kraus_sum():
 def test_propagate_x_composes_as_semigroup():
     rng = np.random.default_rng(93)
     for kind in CHANNEL_KINDS:
-        spec = ChannelSpec(kind)
         for _ in range(50):
+            spec = ChannelSpec(kind, rate_a=float(rng.uniform(0.0, 2.0)),
+                               rate_b=float(rng.uniform(0.0, 2.0)))
             state = random_x_state(rng)
             t1 = float(rng.uniform(0.0, 4.0))
             t2 = float(rng.uniform(0.0, 4.0))

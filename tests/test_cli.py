@@ -252,6 +252,13 @@ def test_verify_text_and_exit_codes(capsys):
     assert out.count("PASS") == 8
 
 
+def test_verify_local_unitary_check_is_not_flaky(capsys):
+    # 212514346 failed with the eigenvalue route to concurrence_general;
+    # seed 10 fails that route under the current order of random draws
+    for seed in ("212514346", "10"):
+        assert run(capsys, "verify", "--trials", "30", "--seed", seed)[0] == 0
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--trials", "5", "--format", "json")
     assert code == 0

@@ -81,10 +81,19 @@ def test_concurrence_general_frozen_points():
 
 
 def test_concurrence_general_rejects_unusable_spectrum():
-    # not a density matrix: the spin-flip spectrum has a clearly negative root
+    # not a density matrix: a clearly negative eigenvalue
     bad = np.diag([1.0, -0.5, 0.25, 0.25]).astype(complex)
     with pytest.raises(NumericalFailureError):
         concurrence_general(bad)
+    skew = np.eye(4, dtype=complex) / 4.0
+    skew[0, 3] = 0.1
+    with pytest.raises(NumericalFailureError):
+        concurrence_general(skew)
+    for value in (np.nan, np.inf * 1j):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[2, 1] = value
+        with pytest.raises(ValueError):
+            concurrence_general(rho)
 
 
 def test_esd_result_constructors():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from xkraus.linalg import (
     IDENTITY_2,
@@ -9,7 +8,6 @@ from xkraus.linalg import (
     PAULI_X,
     PAULI_Y,
     dagger,
-    eig_spectrum,
     inf_norm_diff,
     kron,
     matmul,
@@ -56,32 +54,6 @@ def test_dagger_is_conjugate_transpose():
 def test_pauli_matrices_square_to_identity():
     assert inf_norm_diff(matmul(PAULI_X, PAULI_X), IDENTITY_2) == 0.0
     assert inf_norm_diff(matmul(PAULI_Y, PAULI_Y), IDENTITY_2) == 0.0
-
-
-def test_eig_spectrum_of_diagonal():
-    m = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    vals = np.sort(eig_spectrum(m).real)
-    assert np.allclose(vals, [0.1, 0.2, 0.3, 0.4], atol=1e-14)
-
-
-def test_eig_spectrum_values_satisfy_characteristic_equation():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        m = _random_complex(rng, 4)
-        for lam in eig_spectrum(m):
-            # smallest singular value of (m - lam I) vanishes at an eigenvalue
-            sigma = np.linalg.svd(m - lam * np.eye(4), compute_uv=False)[-1]
-            assert sigma < 1e-10 * max(1.0, np.abs(m).max())
-
-
-def test_eig_spectrum_rejects_nonfinite():
-    m = np.eye(4, dtype=complex)
-    m[2, 1] = np.nan
-    with pytest.raises(ValueError):
-        eig_spectrum(m)
-    m[2, 1] = np.inf * 1j
-    with pytest.raises(ValueError):
-        eig_spectrum(m)
 
 
 def test_inf_norm_diff():
