@@ -39,17 +39,10 @@ from .entanglement import (
     esd_time_numeric,
     esd_time_phase_werner,
 )
-from .linalg import (
-    NumericalFailureError,
-    dagger,
-    inf_norm_diff,
-    kron,
-    matmul,
-)
+from .linalg import NumericalFailureError, inf_norm_diff
 from .states import (
     LocalUnitary,
     NotXStateError,
-    StateDiagnostics,
     XState,
     apply_local_unitary,
     flip_a_unitary,
@@ -57,7 +50,6 @@ from .states import (
     random_local_unitary,
     random_x_state,
     to_dense,
-    validate,
     werner_phi,
     werner_psi,
 )
@@ -91,13 +83,9 @@ __all__ = [
     "esd_time_numeric",
     "esd_time_phase_werner",
     "NumericalFailureError",
-    "dagger",
     "inf_norm_diff",
-    "kron",
-    "matmul",
     "LocalUnitary",
     "NotXStateError",
-    "StateDiagnostics",
     "XState",
     "apply_local_unitary",
     "flip_a_unitary",
@@ -105,7 +93,6 @@ __all__ = [
     "random_local_unitary",
     "random_x_state",
     "to_dense",
-    "validate",
     "werner_phi",
     "werner_psi",
     "CheckResult",

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import dagger, inf_norm_diff, kron, matmul
+from .linalg import inf_norm_diff
 from .states import OFF_X_POSITIONS, XState
 
 __all__ = [
@@ -147,7 +147,7 @@ def product_channel(
     If each input list is trace preserving on its own qubit, the product
     list is trace preserving on the pair.
     """
-    return [kron(ka, kb) for ka in ops_a for kb in ops_b]
+    return [np.kron(ka, kb) for ka in ops_a for kb in ops_b]
 
 
 def kraus_phase(factors_a: DampingFactors, factors_b: DampingFactors) -> list[np.ndarray]:
@@ -184,7 +184,7 @@ def check_cptp(ops: Sequence[np.ndarray]) -> float:
     acc = np.zeros((dim, dim), dtype=complex)
     for k in ops:
         k = np.asarray(k, dtype=complex)
-        acc += matmul(dagger(k), k)
+        acc += k.conj().T @ k
     return inf_norm_diff(acc, np.eye(dim, dtype=complex))
 
 
@@ -202,7 +202,7 @@ def apply(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     out = np.zeros_like(rho)
     for k in ops:
         k = np.asarray(k, dtype=complex)
-        out += k @ rho @ dagger(k)
+        out += k @ rho @ k.conj().T
     return out
 
 

@@ -9,6 +9,12 @@ Subcommands:
     demo-local-ops     same-spectrum pair with opposite fates under decay
     verify             run the library self-checks
 
+``_COMMANDS`` maps each subcommand to its handler, help and ``_Opt`` options.
+Flag text and ``--config`` values pass the same ``_Opt.parse``; a bad value
+exits 2 with ``error: --flag: <rule>`` or ``error: config key 'key': <rule>``.
+Handlers hand a JSON document and text lines to ``_emit``, which writes the
+one ``--format`` names.
+
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
 0 success, 2 usage or domain error, 3 numerical failure, 4 verification
@@ -22,7 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,139 +49,49 @@ from .linalg import NumericalFailureError, inf_norm_diff
 from .states import XState, apply_local_unitary, flip_a_unitary, to_dense, werner_phi, werner_psi
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_all
 
-_FAMILIES = ("werner-psi", "werner-phi", "custom-x")
+_WERNER = {"werner-psi": werner_psi, "werner-phi": werner_phi}
 
 _CSV_FIELDS = ("tau", "fidelity", "concurrence", "a", "b", "c", "d", "abs_z", "abs_w")
-_CSV_HEADER = ",".join(_CSV_FIELDS)
+
+_Rule = tuple[Callable[[Any], bool], str]
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One row of an evolution or sweep: state summary at one grid point."""
-
-    tau: float
-    fidelity: float | None
-    concurrence: float
-    a: float
-    b: float
-    c: float
-    d: float
-    abs_z: float
-    abs_w: float
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid description for a fidelity x time sweep."""
-
-    channel: ChannelSpec
-    fidelity_min: float
-    fidelity_max: float
-    fidelity_steps: int
-    tau_max: float
-    tau_steps: int
-
-    def __post_init__(self) -> None:
-        if not 0.25 <= self.fidelity_min <= self.fidelity_max <= 1.0:
-            raise ValueError(
-                "fidelity range must satisfy 0.25 <= min <= max <= 1, got "
-                f"[{self.fidelity_min}, {self.fidelity_max}]"
-            )
-        if self.fidelity_steps < 2 or self.tau_steps < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        if not (math.isfinite(self.tau_max) and self.tau_max > 0.0):
-            raise ValueError(f"tau-max must be positive, got {self.tau_max}")
-
-    def fidelities(self) -> np.ndarray:
-        return np.linspace(self.fidelity_min, self.fidelity_max, self.fidelity_steps)
-
-    def taus(self) -> np.ndarray:
-        return np.linspace(0.0, self.tau_max, self.tau_steps)
-
-
-def _parse_channel(text: str) -> str:
-    if text not in CHANNEL_KINDS:
-        raise ValueError(f"expected one of {', '.join(CHANNEL_KINDS)}")
-    return text
-
-
-def _parse_family(text: str) -> str:
-    if text not in _FAMILIES:
-        raise ValueError(f"expected one of {', '.join(_FAMILIES)}")
-    return text
-
-
-def _parse_grid_format(text: str) -> str:
-    if text not in ("csv", "json"):
-        raise ValueError("expected csv or json")
-    return text
-
-
-def _parse_report_format(text: str) -> str:
-    if text not in ("text", "json"):
-        raise ValueError("expected text or json")
-    return text
-
-
-def _parse_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
 
 
-def _parse_positive_float(text: str) -> float:
-    value = _parse_float(text)
-    if value <= 0.0:
-        raise ValueError("must be positive")
-    return value
-
-
-def _parse_nonneg_float(text: str) -> float:
-    value = _parse_float(text)
-    if value < 0.0:
-        raise ValueError("must be >= 0")
-    return value
-
-
-def _parse_fidelity(text: str) -> float:
-    value = _parse_float(text)
-    if not 0.25 <= value <= 1.0:
-        raise ValueError("fidelity must lie in [0.25, 1]")
-    return value
-
-
-def _parse_steps(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise ValueError("needs at least 2 grid points")
-    return value
-
-
-def _parse_positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_x_params(text: str) -> tuple[float, ...]:
+def _x_params(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 8:
         raise ValueError("expected 8 comma-separated numbers: a,b,c,d,re_z,im_z,re_w,im_w")
-    return tuple(_parse_float(p) for p in parts)
+    return tuple(_finite_float(p) for p in parts)
+
+
+def _one_of(*choices: str) -> _Rule:
+    return (lambda value: value in choices), f"expected one of {', '.join(choices)}"
+
+
+_ANY: _Rule = (lambda value: True, "")
+_FIDELITY: _Rule = (lambda value: 0.25 <= value <= 1.0, "fidelity must lie in [0.25, 1]")
+_POSITIVE: _Rule = (lambda value: value > 0, "must be positive")
+_NON_NEGATIVE: _Rule = (lambda value: value >= 0, "must be >= 0")
+_GRID_POINTS: _Rule = (lambda value: value >= 2, "needs at least 2 grid points")
+_AT_LEAST_ONE: _Rule = (lambda value: value >= 1, "must be >= 1")
 
 
 @dataclass(frozen=True)
 class _Opt:
+    """One option: flag, converter, default, help and the rule that a
+    converted value must meet, whether it came from a flag or a config key."""
+
     flag: str
     conv: Callable[[str], Any]
     default: Any
     help: str
+    rule: _Rule = _ANY
 
     @property
     def key(self) -> str:
@@ -185,78 +101,33 @@ class _Opt:
     def dest(self) -> str:
         return self.key.replace("-", "_")
 
+    def parse(self, text: str, source: str) -> Any:
+        """Convert text and check the rule; errors are prefixed by source."""
+        ok, rule = self.rule
+        try:
+            value = self.conv(text)
+            if not ok(value):
+                raise ValueError(rule)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from exc
+        return value
 
-_OPT_CHANNEL = _Opt("--channel", _parse_channel, None, "noise channel: phase, amplitude, or equalizing")
-_OPT_FAMILY = _Opt("--family", _parse_family, "werner-psi", "initial family: werner-psi, werner-phi, or custom-x")
-_OPT_FIDELITY = _Opt("--fidelity", _parse_fidelity, None, "werner fidelity in [0.25, 1]")
-_OPT_X_PARAMS = _Opt("--x-params", _parse_x_params, None, "custom X state as a,b,c,d,re_z,im_z,re_w,im_w")
-_OPT_RATE_A = _Opt("--rate-a", _parse_nonneg_float, 1.0, "decay rate of qubit A (default 1)")
-_OPT_RATE_B = _Opt("--rate-b", _parse_nonneg_float, 1.0, "decay rate of qubit B (default 1)")
-_OPT_TAU_MAX = _Opt("--tau-max", _parse_positive_float, None, "largest tau = rate*t on the grid (default 5 for phase, 10 otherwise)")
-_OPT_STEPS = _Opt("--steps", _parse_steps, 201, "time grid points including both endpoints (default 201)")
-_OPT_HORIZON = _Opt("--horizon", _parse_positive_float, 60.0, "search horizon in tau = rate*t (default 60)")
-_OPT_TOL = _Opt("--tol", _parse_positive_float, 1e-10, "bisection tolerance (default 1e-10)")
+
+_OPT_CHANNEL = _Opt("--channel", str, None, "noise channel: phase, amplitude, or equalizing", _one_of(*CHANNEL_KINDS))
+_OPT_FAMILY = _Opt("--family", str, "werner-psi", "initial family: werner-psi, werner-phi, or custom-x", _one_of(*_WERNER, "custom-x"))
+_OPT_FIDELITY = _Opt("--fidelity", _finite_float, None, "werner fidelity in [0.25, 1]", _FIDELITY)
+_OPT_X_PARAMS = _Opt("--x-params", _x_params, None, "custom X state as a,b,c,d,re_z,im_z,re_w,im_w")
+_OPT_RATE_A = _Opt("--rate-a", _finite_float, 1.0, "decay rate of qubit A (default 1)", _NON_NEGATIVE)
+_OPT_RATE_B = _Opt("--rate-b", _finite_float, 1.0, "decay rate of qubit B (default 1)", _NON_NEGATIVE)
+_OPT_TAU_MAX = _Opt("--tau-max", _finite_float, None, "largest tau = rate*t on the grid (default 5 for phase, 10 otherwise)", _POSITIVE)
+_OPT_STEPS = _Opt("--steps", int, 201, "time grid points including both endpoints (default 201)", _GRID_POINTS)
+_OPT_HORIZON = _Opt("--horizon", _finite_float, 60.0, "search horizon in tau = rate*t (default 60)", _POSITIVE)
+_OPT_TOL = _Opt("--tol", _finite_float, 1e-10, "bisection tolerance (default 1e-10)", _POSITIVE)
 _OPT_OUT = _Opt("--out", str, "-", "output path, - for stdout (default -)")
-_OPT_GRID_FORMAT = _Opt("--format", _parse_grid_format, "csv", "output format: csv or json (default csv)")
-_OPT_REPORT_FORMAT = _Opt("--format", _parse_report_format, "text", "output format: text or json (default text)")
-_OPT_RATE_LABEL = _Opt("--rate", _parse_positive_float, None, "physical rate, used only to annotate reports with real time")
+_OPT_GRID_FORMAT = _Opt("--format", str, "csv", "output format: csv or json (default csv)", _one_of("csv", "json"))
+_OPT_REPORT_FORMAT = _Opt("--format", str, "text", "output format: text or json (default text)", _one_of("text", "json"))
+_OPT_RATE_LABEL = _Opt("--rate", _finite_float, None, "physical rate, used only to annotate reports with real time", _POSITIVE)
 _OPT_CONFIG = _Opt("--config", str, None, "flat key=value file mirroring the flag names; flags win")
-
-_COMMAND_OPTS: dict[str, tuple[_Opt, ...]] = {
-    "evolve": (
-        _OPT_CHANNEL, _OPT_FAMILY, _OPT_FIDELITY, _OPT_X_PARAMS, _OPT_RATE_A, _OPT_RATE_B,
-        _OPT_TAU_MAX, _OPT_STEPS, _OPT_OUT, _OPT_GRID_FORMAT, _OPT_RATE_LABEL, _OPT_CONFIG,
-    ),
-    "sweep": (
-        _OPT_CHANNEL, _OPT_FAMILY,
-        _Opt("--fidelity-min", _parse_fidelity, 0.25, "lower end of the fidelity grid (default 0.25)"),
-        _Opt("--fidelity-max", _parse_fidelity, 1.0, "upper end of the fidelity grid (default 1)"),
-        _Opt("--fidelity-steps", _parse_steps, 101, "fidelity grid points (default 101)"),
-        _OPT_RATE_A, _OPT_RATE_B, _OPT_TAU_MAX, _OPT_STEPS, _OPT_OUT, _OPT_GRID_FORMAT,
-        _OPT_RATE_LABEL, _OPT_CONFIG,
-    ),
-    "esd": (
-        _OPT_CHANNEL, _OPT_FAMILY, _OPT_FIDELITY, _OPT_X_PARAMS, _OPT_RATE_A, _OPT_RATE_B,
-        _OPT_HORIZON, _OPT_TOL, _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_RATE_LABEL, _OPT_CONFIG,
-    ),
-    "critical-fidelity": (
-        _OPT_HORIZON, _OPT_TOL, _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG,
-    ),
-    "demo-local-ops": (
-        _OPT_FIDELITY, _OPT_HORIZON, _OPT_TOL, _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG,
-    ),
-    "verify": (
-        _Opt("--trials", _parse_positive_int, DEFAULT_TRIALS, "randomized trials per check (default 200)"),
-        _Opt("--seed", _parse_int, DEFAULT_SEED, "seed for the randomized checks (default 12345)"),
-        _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG,
-    ),
-}
-
-_COMMAND_HELP = {
-    "evolve": "evolve one state under one channel and record the time grid",
-    "sweep": "record a fidelity x time concurrence grid",
-    "esd": "locate the sudden-death time for one configuration",
-    "critical-fidelity": "survival boundary of werner-psi under amplitude noise",
-    "demo-local-ops": "two states with equal spectra and opposite fates under decay",
-    "verify": "run the library self-checks",
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="xkraus",
-        description="Two-qubit X states under local Markovian noise: evolution, "
-        "concurrence, and sudden-death searches.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, opts in _COMMAND_OPTS.items():
-        cmd = sub.add_parser(name, help=_COMMAND_HELP[name], description=_COMMAND_HELP[name])
-        for opt in opts:
-            cmd.add_argument(opt.flag, type=opt.conv, default=None, help=opt.help)
-        if name == "verify":
-            cmd.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    return parser
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -277,35 +148,40 @@ def _load_config(path: str) -> dict[str, str]:
     return table
 
 
-def _merge_options(ns: argparse.Namespace, command: str) -> dict[str, Any]:
-    opts = _COMMAND_OPTS[command]
-    config: dict[str, str] = {}
-    if getattr(ns, "config", None) is not None:
-        config = _load_config(ns.config)
-    known = {o.key: o for o in opts if o.key != "config"}
+def _merge_options(ns: argparse.Namespace) -> dict[str, Any]:
+    """Option values by dest: flag over config key over default.  Hidden
+    flags outside the option table (verify's --inject-fault) pass through."""
+    opts = _COMMANDS[ns.command].opts
+    config = _load_config(ns.config) if ns.config is not None else {}
+    known = {o.key for o in opts if o.key != "config"}
     for key in config:
         if key not in known:
-            raise ValueError(f"unknown config key {key!r} for command {command}")
-    values: dict[str, Any] = {}
+            raise ValueError(f"unknown config key {key!r} for command {ns.command}")
+    values = dict(vars(ns))
     for opt in opts:
         given = getattr(ns, opt.dest)
         if given is not None:
-            values[opt.dest] = given
+            values[opt.dest] = opt.parse(given, opt.flag)
         elif opt.key in config:
-            try:
-                values[opt.dest] = opt.conv(config[opt.key])
-            except ValueError as exc:
-                raise ValueError(f"config key {opt.key!r}: {exc}") from exc
+            values[opt.dest] = opt.parse(config[opt.key], f"config key {opt.key!r}")
         else:
             values[opt.dest] = opt.default
     return values
 
 
-def _write_output(text: str, out: str) -> None:
-    if out in (None, "", "-"):
+def _emit(values: dict[str, Any], doc: dict[str, Any], lines: Iterable[str]) -> None:
+    """Write doc as JSON if --format is json, otherwise the text lines.
+
+    lines may be a generator: it is consumed only when text is written.
+    """
+    if values["format"] == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    if values["out"] in (None, "", "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(values["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -313,21 +189,6 @@ def _fmt(value: float | None) -> str:
     if value is None:
         return "nan"
     return format(float(value), ".12g")
-
-
-def _to_csv(records: list[RunRecord]) -> str:
-    lines = [_CSV_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, field)) for field in _CSV_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
-def _record_dict(r: RunRecord) -> dict[str, Any]:
-    return {field: getattr(r, field) for field in _CSV_FIELDS}
-
-
-def _to_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _meta(command: str, values: dict[str, Any], **extra: Any) -> dict[str, Any]:
@@ -361,9 +222,7 @@ def _initial_state(values: dict[str, Any]) -> tuple[XState, float | None]:
         raise ValueError(f"family {family} needs --fidelity")
     if values["x_params"] is not None:
         raise ValueError("--x-params is only valid with family custom-x")
-    fid = values["fidelity"]
-    state = werner_psi(fid) if family == "werner-psi" else werner_phi(fid)
-    return state, fid
+    return _WERNER[family](values["fidelity"]), values["fidelity"]
 
 
 def _default_tau_max(values: dict[str, Any]) -> float:
@@ -372,79 +231,68 @@ def _default_tau_max(values: dict[str, Any]) -> float:
     return 5.0 if values["channel"] == "phase" else 10.0
 
 
-def _record(tau: float, fidelity: float | None, state: XState) -> RunRecord:
-    return RunRecord(
-        tau=float(tau),
-        fidelity=fidelity,
-        concurrence=concurrence_x(state),
-        a=state.a,
-        b=state.b,
-        c=state.c,
-        d=state.d,
-        abs_z=abs(state.z),
-        abs_w=abs(state.w),
+def _csv_lines(records: list[dict[str, Any]]) -> Iterator[str]:
+    yield ",".join(_CSV_FIELDS)
+    for r in records:
+        yield ",".join(_fmt(v) for v in r.values())
+
+
+def _grid(
+    command: str,
+    values: dict[str, Any],
+    spec: ChannelSpec,
+    starts: list[tuple[float | None, XState]],
+    tau_end: float,
+    **grid: Any,
+) -> int:
+    """Evolve each (fidelity, state) start along the tau grid and emit one
+    record per point, start-major; a record's keys are _CSV_FIELDS in order."""
+    rate_ref = max(spec.rate_a, spec.rate_b)
+    taus = [float(tau) for tau in np.linspace(0.0, tau_end, values["steps"])]
+    records = []
+    for fid, start in starts:
+        for tau in taus:
+            s = propagate_x(start, spec, tau / rate_ref)
+            row = (tau, fid, concurrence_x(s), s.a, s.b, s.c, s.d, abs(s.z), abs(s.w))
+            records.append(dict(zip(_CSV_FIELDS, row)))
+    doc = _meta(
+        command, values,
+        channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b, family=values["family"], **grid,
     )
+    doc["records"] = records
+    _emit(values, doc, _csv_lines(records))
+    return 0
 
 
 def cmd_evolve(values: dict[str, Any]) -> int:
     spec = _require_channel(values)
     state, fid = _initial_state(values)
     tau_max = _default_tau_max(values)
-    rate_ref = max(spec.rate_a, spec.rate_b)
-    records = [
-        _record(tau, fid, propagate_x(state, spec, float(tau) / rate_ref))
-        for tau in np.linspace(0.0, tau_max, values["steps"])
-    ]
-    if values["format"] == "csv":
-        text = _to_csv(records)
-    else:
-        doc = _meta(
-            "evolve", values,
-            channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b,
-            family=values["family"], fidelity=fid,
-            x_params=list(values["x_params"]) if values["x_params"] else None,
-            tau_max=tau_max, steps=values["steps"],
-        )
-        doc["records"] = [_record_dict(r) for r in records]
-        text = _to_json(doc)
-    _write_output(text, values["out"])
-    return 0
+    return _grid(
+        "evolve", values, spec, [(fid, state)], tau_max,
+        fidelity=fid,
+        x_params=list(values["x_params"]) if values["x_params"] else None,
+        tau_max=tau_max, steps=values["steps"],
+    )
 
 
 def cmd_sweep(values: dict[str, Any]) -> int:
     spec = _require_channel(values)
-    if values["family"] not in ("werner-psi", "werner-phi"):
+    build = _WERNER.get(values["family"])
+    if build is None:
         raise ValueError("sweep scans a werner family; custom-x has no fidelity axis")
-    build = werner_psi if values["family"] == "werner-psi" else werner_phi
-    sweep = SweepSpec(
-        channel=spec,
-        fidelity_min=values["fidelity_min"],
-        fidelity_max=values["fidelity_max"],
-        fidelity_steps=values["fidelity_steps"],
-        tau_max=_default_tau_max(values),
-        tau_steps=values["steps"],
-    )
-    rate_ref = max(spec.rate_a, spec.rate_b)
-    records = []
-    for fid in sweep.fidelities():
-        fid = float(fid)
-        base = build(fid)
-        for tau in sweep.taus():
-            records.append(_record(tau, fid, propagate_x(base, spec, float(tau) / rate_ref)))
-    if values["format"] == "csv":
-        text = _to_csv(records)
-    else:
-        doc = _meta(
-            "sweep", values,
-            channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b,
-            family=values["family"],
-            fidelity_grid={"min": sweep.fidelity_min, "max": sweep.fidelity_max, "steps": sweep.fidelity_steps},
-            tau_grid={"min": 0.0, "max": sweep.tau_max, "steps": sweep.tau_steps},
+    f_min, f_max, f_steps = values["fidelity_min"], values["fidelity_max"], values["fidelity_steps"]
+    if f_min > f_max:
+        raise ValueError(
+            f"fidelity range must satisfy 0.25 <= min <= max <= 1, got [{f_min}, {f_max}]"
         )
-        doc["records"] = [_record_dict(r) for r in records]
-        text = _to_json(doc)
-    _write_output(text, values["out"])
-    return 0
+    fids = [float(f) for f in np.linspace(f_min, f_max, f_steps)]
+    tau_max = _default_tau_max(values)
+    return _grid(
+        "sweep", values, spec, [(f, build(f)) for f in fids], tau_max,
+        fidelity_grid={"min": f_min, "max": f_max, "steps": f_steps},
+        tau_grid={"min": 0.0, "max": tau_max, "steps": values["steps"]},
+    )
 
 
 def _esd_doc(result: EsdResult | None, rate_ref: float) -> dict[str, Any] | None:
@@ -492,35 +340,31 @@ def cmd_esd(values: dict[str, Any]) -> int:
     difference = None
     if analytic_doc and analytic_doc["status"] == DIES and numeric_doc["status"] == DIES:
         difference = abs(analytic_doc["tau"] - numeric_doc["tau"])
-    if values["format"] == "json":
-        doc = _meta(
-            "esd", values,
-            channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b,
-            family=values["family"], fidelity=fid,
-            x_params=list(values["x_params"]) if values["x_params"] else None,
-            horizon_tau=horizon, tol=tol,
-            analytic=analytic_doc, numeric=numeric_doc, difference_tau=difference,
-        )
-        text = _to_json(doc)
+    doc = _meta(
+        "esd", values,
+        channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b,
+        family=values["family"], fidelity=fid,
+        x_params=list(values["x_params"]) if values["x_params"] else None,
+        horizon_tau=horizon, tol=tol,
+        analytic=analytic_doc, numeric=numeric_doc, difference_tau=difference,
+    )
+    lines = [
+        f"channel: {spec.kind} (rate_a={_fmt(spec.rate_a)}, rate_b={_fmt(spec.rate_b)})",
+    ]
+    if fid is not None:
+        lines.append(f"state: {values['family']} with fidelity {_fmt(fid)}")
     else:
-        lines = [
-            f"channel: {spec.kind} (rate_a={_fmt(spec.rate_a)}, rate_b={_fmt(spec.rate_b)})",
-        ]
-        if fid is not None:
-            lines.append(f"state: {values['family']} with fidelity {_fmt(fid)}")
-        else:
-            lines.append("state: custom-x " + ",".join(_fmt(p) for p in values["x_params"]))
-        lines.append(f"analytic: {_esd_phrase(analytic_doc)}")
-        lines.append(
-            f"numeric (horizon tau={_fmt(horizon)}, tol={_fmt(tol)}): {_esd_phrase(numeric_doc)}"
-        )
-        if difference is not None:
-            lines.append(f"|analytic - numeric| tau = {difference:.3e}")
-        if values["rate"] is not None and numeric_doc["status"] == DIES:
-            t_phys = numeric_doc["tau"] / values["rate"]
-            lines.append(f"physical time at rate {_fmt(values['rate'])}: t = {_fmt(t_phys)}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, values["out"])
+        lines.append("state: custom-x " + ",".join(_fmt(p) for p in values["x_params"]))
+    lines.append(f"analytic: {_esd_phrase(analytic_doc)}")
+    lines.append(
+        f"numeric (horizon tau={_fmt(horizon)}, tol={_fmt(tol)}): {_esd_phrase(numeric_doc)}"
+    )
+    if difference is not None:
+        lines.append(f"|analytic - numeric| tau = {difference:.3e}")
+    if values["rate"] is not None and numeric_doc["status"] == DIES:
+        t_phys = numeric_doc["tau"] / values["rate"]
+        lines.append(f"physical time at rate {_fmt(values['rate'])}: t = {_fmt(t_phys)}")
+    _emit(values, doc, lines)
     return 0
 
 
@@ -530,21 +374,18 @@ def cmd_critical_fidelity(values: dict[str, Any]) -> int:
     analytic = critical_fidelity_amplitude()
     numeric = critical_fidelity_numeric(horizon=horizon, f_tol=f_tol)
     gap = abs(analytic - numeric)
-    if values["format"] == "json":
-        doc = _meta(
-            "critical-fidelity", values,
-            channel="amplitude", horizon_tau=horizon, f_tol=f_tol,
-            analytic=analytic, numeric=numeric, difference=gap,
-        )
-        text = _to_json(doc)
-    else:
-        text = (
-            "critical werner-psi fidelity under equal-rate amplitude noise\n"
-            f"analytic: {_fmt(analytic)}\n"
-            f"numeric (horizon tau={_fmt(horizon)}, f_tol={_fmt(f_tol)}): {_fmt(numeric)}\n"
-            f"|analytic - numeric| = {gap:.3e}\n"
-        )
-    _write_output(text, values["out"])
+    doc = _meta(
+        "critical-fidelity", values,
+        channel="amplitude", horizon_tau=horizon, f_tol=f_tol,
+        analytic=analytic, numeric=numeric, difference=gap,
+    )
+    lines = [
+        "critical werner-psi fidelity under equal-rate amplitude noise",
+        f"analytic: {_fmt(analytic)}",
+        f"numeric (horizon tau={_fmt(horizon)}, f_tol={_fmt(f_tol)}): {_fmt(numeric)}",
+        f"|analytic - numeric| = {gap:.3e}",
+    ]
+    _emit(values, doc, lines)
     return 0
 
 
@@ -575,56 +416,106 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> int:
     analytic_phi = _esd_doc(
         esd_time_amplitude_phi_werner(fid) if 0.5 < fid < 1.0 else None, 1.0
     )
-    if values["format"] == "json":
-        doc = _meta(
-            "demo-local-ops", values,
-            fidelity=fid, initial_concurrence_psi=c0_psi, initial_concurrence_phi=c0_phi,
-            transform_residual=mismatch, horizon_tau=horizon, tol=tol,
-            amplitude_fate_psi=fate_psi, amplitude_fate_phi=fate_phi,
-            amplitude_fate_phi_analytic=analytic_phi,
-        )
-        text = _to_json(doc)
-    else:
-        lines = [
-            f"fidelity: {_fmt(fid)}",
-            f"initial concurrence: werner-psi {_fmt(c0_psi)}, werner-phi {_fmt(c0_phi)}",
-            "local map i*(X x I) on qubit A takes werner-psi onto werner-phi; "
-            f"max entry mismatch = {_fmt(mismatch)}",
-            "under equal-rate amplitude noise:",
-            f"  werner-psi: {_esd_phrase(fate_psi)}",
-            f"  werner-phi: {_esd_phrase(fate_phi)}",
-        ]
-        if analytic_phi is not None:
-            lines.append(f"  werner-phi analytic: {_esd_phrase(analytic_phi)}")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, values["out"])
+    doc = _meta(
+        "demo-local-ops", values,
+        fidelity=fid, initial_concurrence_psi=c0_psi, initial_concurrence_phi=c0_phi,
+        transform_residual=mismatch, horizon_tau=horizon, tol=tol,
+        amplitude_fate_psi=fate_psi, amplitude_fate_phi=fate_phi,
+        amplitude_fate_phi_analytic=analytic_phi,
+    )
+    lines = [
+        f"fidelity: {_fmt(fid)}",
+        f"initial concurrence: werner-psi {_fmt(c0_psi)}, werner-phi {_fmt(c0_phi)}",
+        "local map i*(X x I) on qubit A takes werner-psi onto werner-phi; "
+        f"max entry mismatch = {_fmt(mismatch)}",
+        "under equal-rate amplitude noise:",
+        f"  werner-psi: {_esd_phrase(fate_psi)}",
+        f"  werner-phi: {_esd_phrase(fate_phi)}",
+    ]
+    if analytic_phi is not None:
+        lines.append(f"  werner-phi analytic: {_esd_phrase(analytic_phi)}")
+    _emit(values, doc, lines)
     return 0
 
 
-def cmd_verify(values: dict[str, Any], inject_fault: bool) -> int:
-    results = run_all(trials=values["trials"], seed=values["seed"], inject_fault=inject_fault)
+def cmd_verify(values: dict[str, Any]) -> int:
+    results = run_all(
+        trials=values["trials"], seed=values["seed"], inject_fault=values["inject_fault"]
+    )
     all_passed = all(r.passed for r in results)
-    if values["format"] == "json":
-        doc = _meta(
-            "verify", values,
-            trials=values["trials"], seed=values["seed"], all_passed=all_passed,
-        )
-        doc["checks"] = [
+    doc = _meta(
+        "verify", values,
+        trials=values["trials"], seed=values["seed"], all_passed=all_passed,
+        checks=[
             {"name": r.name, "residual": r.residual, "tolerance": r.tolerance, "passed": r.passed}
             for r in results
-        ]
-        text = _to_json(doc)
-    else:
-        lines = []
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(
-                f"{r.name:<40} residual {r.residual:.3e}  tol {r.tolerance:.0e}  {status}"
-            )
-        lines.append("all checks passed" if all_passed else "verification FAILED")
-        text = "\n".join(lines) + "\n"
-    _write_output(text, values["out"])
+        ],
+    )
+    lines = [
+        f"{r.name:<40} residual {r.residual:.3e}  tol {r.tolerance:.0e}  "
+        + ("PASS" if r.passed else "FAIL")
+        for r in results
+    ]
+    lines.append("all checks passed" if all_passed else "verification FAILED")
+    _emit(values, doc, lines)
     return 0 if all_passed else 4
+
+
+@dataclass(frozen=True)
+class _Command:
+    run: Callable[[dict[str, Any]], int]
+    help: str
+    opts: tuple[_Opt, ...]
+
+
+_COMMANDS: dict[str, _Command] = {
+    "evolve": _Command(cmd_evolve, "evolve one state under one channel and record the time grid", (
+        _OPT_CHANNEL, _OPT_FAMILY, _OPT_FIDELITY, _OPT_X_PARAMS, _OPT_RATE_A, _OPT_RATE_B,
+        _OPT_TAU_MAX, _OPT_STEPS, _OPT_OUT, _OPT_GRID_FORMAT, _OPT_RATE_LABEL, _OPT_CONFIG,
+    )),
+    "sweep": _Command(cmd_sweep, "record a fidelity x time concurrence grid", (
+        _OPT_CHANNEL, _OPT_FAMILY,
+        _Opt("--fidelity-min", _finite_float, 0.25, "lower end of the fidelity grid (default 0.25)", _FIDELITY),
+        _Opt("--fidelity-max", _finite_float, 1.0, "upper end of the fidelity grid (default 1)", _FIDELITY),
+        _Opt("--fidelity-steps", int, 101, "fidelity grid points (default 101)", _GRID_POINTS),
+        _OPT_RATE_A, _OPT_RATE_B, _OPT_TAU_MAX, _OPT_STEPS, _OPT_OUT, _OPT_GRID_FORMAT,
+        _OPT_RATE_LABEL, _OPT_CONFIG,
+    )),
+    "esd": _Command(cmd_esd, "locate the sudden-death time for one configuration", (
+        _OPT_CHANNEL, _OPT_FAMILY, _OPT_FIDELITY, _OPT_X_PARAMS, _OPT_RATE_A, _OPT_RATE_B,
+        _OPT_HORIZON, _OPT_TOL, _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_RATE_LABEL, _OPT_CONFIG,
+    )),
+    "critical-fidelity": _Command(
+        cmd_critical_fidelity, "survival boundary of werner-psi under amplitude noise",
+        (_OPT_HORIZON, _OPT_TOL, _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG),
+    ),
+    "demo-local-ops": _Command(
+        cmd_demo_local_ops, "two states with equal spectra and opposite fates under decay",
+        (_OPT_FIDELITY, _OPT_HORIZON, _OPT_TOL, _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG),
+    ),
+    "verify": _Command(cmd_verify, "run the library self-checks", (
+        _Opt("--trials", int, DEFAULT_TRIALS, "randomized trials per check (default 200)", _AT_LEAST_ONE),
+        _Opt("--seed", int, DEFAULT_SEED, "seed for the randomized checks (default 12345)", _NON_NEGATIVE),
+        _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG,
+    )),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="xkraus",
+        description="Two-qubit X states under local Markovian noise: evolution, "
+        "concurrence, and sudden-death searches.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help, description=command.help)
+        for opt in command.opts:
+            cmd.add_argument(opt.flag, default=None, help=opt.help)
+        if name == "verify":
+            cmd.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -634,18 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        values = _merge_options(ns, ns.command)
-        if ns.command == "evolve":
-            return cmd_evolve(values)
-        if ns.command == "sweep":
-            return cmd_sweep(values)
-        if ns.command == "esd":
-            return cmd_esd(values)
-        if ns.command == "critical-fidelity":
-            return cmd_critical_fidelity(values)
-        if ns.command == "demo-local-ops":
-            return cmd_demo_local_ops(values)
-        return cmd_verify(values, ns.inject_fault)
+        return _COMMANDS[ns.command].run(_merge_options(ns))
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

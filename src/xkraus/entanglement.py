@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec, propagate_x
-from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff, kron
+from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff
 from .states import XState, _check_fidelity, werner_psi
 
 __all__ = [
@@ -47,7 +47,7 @@ _DEFAULT_HORIZON = 60.0
 _DEFAULT_TOL = 1e-10
 _GRID_POINTS = 512
 
-_SIGMA_YY = kron(PAULI_Y, PAULI_Y)
+_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
 
 DIES = "dies"
 ALIVE = "alive"

@@ -1,9 +1,9 @@
 """Small dense complex linear algebra helpers.
 
-Everything operates on plain numpy arrays (2x2 or 4x4, complex128).  The
-wrappers pin dtypes.  NumericalFailureError is the typed error that callers
-raise for LAPACK non-convergence or unusable values, so the CLI can map it
-onto a distinct exit code.
+Everything operates on plain numpy arrays (2x2 or 4x4, complex128).
+NumericalFailureError is the typed error that callers raise for LAPACK
+non-convergence or unusable values, so the CLI can map it onto a distinct
+exit code.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ __all__ = [
     "IDENTITY_4",
     "PAULI_X",
     "PAULI_Y",
-    "kron",
-    "matmul",
-    "dagger",
     "inf_norm_diff",
 ]
 
@@ -31,21 +28,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 IDENTITY_4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor indexes the slower (block) axis."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with both operands coerced to complex."""
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
 
 
 def inf_norm_diff(a: np.ndarray, b: np.ndarray) -> float:

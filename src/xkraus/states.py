@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI_X, dagger, inf_norm_diff, kron, matmul
+from .linalg import IDENTITY_2, PAULI_X, inf_norm_diff
 
 __all__ = [
     "NotXStateError",
     "XState",
-    "StateDiagnostics",
     "LocalUnitary",
     "X_POSITIONS",
     "OFF_X_POSITIONS",
@@ -28,7 +27,6 @@ __all__ = [
     "werner_phi",
     "to_dense",
     "from_dense",
-    "validate",
     "apply_local_unitary",
     "flip_a_unitary",
     "random_x_state",
@@ -157,40 +155,6 @@ def from_dense(rho: np.ndarray, tol: float = 1e-10) -> XState:
 
 
 @dataclass(frozen=True)
-class StateDiagnostics:
-    """Report on how well a dense matrix behaves as a density matrix."""
-
-    hermiticity_residual: float
-    trace_deviation: float
-    min_eigenvalue: float
-
-    def ok(
-        self,
-        herm_tol: float = 1e-12,
-        trace_tol: float = 1e-12,
-        eig_tol: float = 1e-10,
-    ) -> bool:
-        return (
-            self.hermiticity_residual <= herm_tol
-            and self.trace_deviation <= trace_tol
-            and self.min_eigenvalue >= -eig_tol
-        )
-
-
-def validate(rho: np.ndarray) -> StateDiagnostics:
-    """Measure Hermiticity, trace and positivity of a dense matrix.
-
-    Pure report; nothing is raised regardless of how bad the input is.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    herm = inf_norm_diff(rho, dagger(rho))
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    sym = 0.5 * (rho + dagger(rho))
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return StateDiagnostics(herm, trace_dev, min_eig)
-
-
-@dataclass(frozen=True)
 class LocalUnitary:
     """Separate unitaries u_a on qubit A and u_b on qubit B."""
 
@@ -198,11 +162,11 @@ class LocalUnitary:
     u_b: np.ndarray
 
     def as_matrix(self) -> np.ndarray:
-        return kron(self.u_a, self.u_b)
+        return np.kron(self.u_a, self.u_b)
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
-    return inf_norm_diff(matmul(dagger(u), u), IDENTITY_2)
+    return inf_norm_diff(u.conj().T @ u, IDENTITY_2)
 
 
 def apply_local_unitary(rho: np.ndarray, lu: LocalUnitary) -> np.ndarray:
@@ -215,7 +179,7 @@ def apply_local_unitary(rho: np.ndarray, lu: LocalUnitary) -> np.ndarray:
         if res > _UNITARY_TOL:
             raise ValueError(f"{name} is not unitary (residual {res:.3e})")
     u4 = lu.as_matrix()
-    return matmul(matmul(u4, np.asarray(rho, dtype=complex)), dagger(u4))
+    return u4 @ np.asarray(rho, dtype=complex) @ u4.conj().T
 
 
 def flip_a_unitary() -> LocalUnitary:

@@ -21,6 +21,7 @@ from .states import (
     random_local_unitary,
     random_x_state,
     to_dense,
+    werner_phi,
     werner_psi,
 )
 
@@ -47,12 +48,13 @@ def _check_trace_preservation(inject_fault: bool) -> CheckResult:
     worst = 0.0
     faulted = not inject_fault
     for kind in CHANNEL_KINDS:
-        for tau in np.linspace(0.0, 10.0, 21):
-            ops = kraus_set(ChannelSpec(kind), float(tau))
-            if not faulted:
-                ops[0] = 1.1 * ops[0]
-                faulted = True
-            worst = max(worst, check_cptp(ops))
+        for rate_a, rate_b in ((1.0, 1.0), (1.3, 0.4)):
+            for tau in np.linspace(0.0, 10.0, 21):
+                ops = kraus_set(ChannelSpec(kind, rate_a, rate_b), float(tau))
+                if not faulted:
+                    ops[0] = 1.1 * ops[0]
+                    faulted = True
+                worst = max(worst, check_cptp(ops))
     return _result("kraus completeness", worst, 1e-12)
 
 
@@ -62,7 +64,8 @@ def _check_x_form(rng: np.random.Generator, trials: int) -> CheckResult:
         rho = to_dense(random_x_state(rng))
         for _ in range(rng.integers(1, 5)):
             kind = CHANNEL_KINDS[rng.integers(0, 3)]
-            rho = apply(rho, kraus_set(ChannelSpec(kind), rng.uniform(0.0, 3.0)))
+            spec = ChannelSpec(kind, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
+            rho = apply(rho, kraus_set(spec, rng.uniform(0.0, 3.0)))
             worst = max(worst, x_form_residual(rho))
     return _result("x form preserved", worst, 1e-13)
 
@@ -101,13 +104,13 @@ def _check_semigroup(rng: np.random.Generator, trials: int) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
         state = random_x_state(rng)
-        kind = CHANNEL_KINDS[rng.integers(0, 3)]
-        spec = ChannelSpec(kind, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
-        t1 = rng.uniform(0.0, 4.0)
-        t2 = rng.uniform(0.0, 4.0)
-        two_steps = to_dense(propagate_x(propagate_x(state, spec, t1), spec, t2))
-        one_step = to_dense(propagate_x(state, spec, t1 + t2))
-        worst = max(worst, float(np.max(np.abs(two_steps - one_step))))
+        for kind in CHANNEL_KINDS:
+            spec = ChannelSpec(kind, rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
+            t1 = rng.uniform(0.0, 4.0)
+            t2 = rng.uniform(0.0, 4.0)
+            two_steps = to_dense(propagate_x(propagate_x(state, spec, t1), spec, t2))
+            one_step = to_dense(propagate_x(state, spec, t1 + t2))
+            worst = max(worst, float(np.max(np.abs(two_steps - one_step))))
     return _result("semigroup composition", worst, 1e-12)
 
 
@@ -115,7 +118,8 @@ def _check_initial_werner_concurrence() -> CheckResult:
     worst = 0.0
     for f in np.linspace(0.5, 1.0, 50):
         f = float(f)
-        worst = max(worst, abs(concurrence_x(werner_psi(f)) - (2.0 * f - 1.0)))
+        for build in (werner_psi, werner_phi):
+            worst = max(worst, abs(concurrence_x(build(f)) - (2.0 * f - 1.0)))
     return _result("initial werner concurrence", worst, 1e-12)
 
 

@@ -16,7 +16,7 @@ from xkraus.channels import (
     propagate_x,
     x_form_residual,
 )
-from xkraus.linalg import IDENTITY_2, dagger, inf_norm_diff
+from xkraus.linalg import IDENTITY_2, inf_norm_diff
 from xkraus.states import XState, from_dense, random_x_state, to_dense, werner_psi
 
 BELL_W = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
@@ -79,7 +79,7 @@ def test_equalizing_single_qubit_completeness():
     for t in (0.0, 0.3, 2.0):
         ops = kraus_equalizing_1q(damping(1.0, t))
         assert len(ops) == 4
-        acc = sum(dagger(k) @ k for k in ops)
+        acc = sum(k.conj().T @ k for k in ops)
         assert inf_norm_diff(acc, IDENTITY_2) <= 1e-15
 
 

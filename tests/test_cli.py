@@ -93,7 +93,7 @@ def test_evolve_usage_errors(capsys):
         capsys, "evolve", "--channel", "phase", "--family", "custom-x",
         "--x-params", "0.5,0.5",
     )[0] == 2
-    # fidelity out of range, rejected by the flag converter
+    # fidelity out of range, rejected by the option rule
     assert run(capsys, "evolve", "--channel", "phase", "--fidelity", "1.2")[0] == 2
     # too few grid points
     assert run(
@@ -141,6 +141,31 @@ def test_config_rejects_bad_value_and_missing_file(tmp_path, capsys):
     assert run(capsys, "esd", "--config", str(tmp_path / "absent.cfg"))[0] == 2
     cfg.write_text("channel phase\n")
     assert run(capsys, "esd", "--config", str(cfg))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, key, bad, rule",
+    [
+        (["esd", "--fidelity", "0.8"], "channel", "foo", "expected one of phase, amplitude, equalizing"),
+        (["esd", "--channel", "phase"], "fidelity", "1.2", "fidelity must lie in [0.25, 1]"),
+        (["evolve", "--channel", "phase", "--fidelity", "0.8"], "steps", "1", "needs at least 2 grid points"),
+        (["verify"], "trials", "0", "must be >= 1"),
+        (
+            ["esd", "--channel", "phase", "--family", "custom-x"], "x-params", "0.5,0.5",
+            "expected 8 comma-separated numbers",
+        ),
+        (["verify", "--trials", "2"], "seed", "-1", "must be >= 0"),
+    ],
+)
+def test_flags_and_config_share_one_rule(tmp_path, capsys, argv, key, bad, rule):
+    code, _, err = run(capsys, *argv, f"--{key}", bad)
+    assert code == 2
+    assert f"error: --{key}: {rule}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={bad}\n")
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert f"error: config key {key!r}: {rule}" in err
 
 
 def test_sweep_grid_layout(capsys):
@@ -254,8 +279,8 @@ def test_verify_text_and_exit_codes(capsys):
 
 def test_verify_local_unitary_check_is_not_flaky(capsys):
     # 212514346 failed with the eigenvalue route to concurrence_general;
-    # seed 10 fails that route under the current order of random draws
-    for seed in ("212514346", "10"):
+    # seed 200 fails that route under the current order of random draws
+    for seed in ("212514346", "200"):
         assert run(capsys, "verify", "--trials", "30", "--seed", seed)[0] == 0
 
 
