@@ -17,12 +17,8 @@ from .channels import (
     apply,
     check_cptp,
     damping,
-    kraus_amplitude,
-    kraus_equalizing,
-    kraus_equalizing_1q,
-    kraus_phase,
+    kraus_1q,
     kraus_set,
-    product_channel,
     propagate_x,
     x_form_residual,
 )
@@ -63,12 +59,8 @@ __all__ = [
     "apply",
     "check_cptp",
     "damping",
-    "kraus_amplitude",
-    "kraus_equalizing",
-    "kraus_equalizing_1q",
-    "kraus_phase",
+    "kraus_1q",
     "kraus_set",
-    "product_channel",
     "propagate_x",
     "x_form_residual",
     "ALIVE",

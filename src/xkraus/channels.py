@@ -34,12 +34,8 @@ __all__ = [
     "DampingFactors",
     "ChannelSpec",
     "damping",
-    "kraus_phase",
-    "kraus_amplitude",
-    "kraus_equalizing_1q",
-    "kraus_equalizing",
+    "kraus_1q",
     "kraus_set",
-    "product_channel",
     "check_cptp",
     "apply",
     "propagate_x",
@@ -91,89 +87,41 @@ class ChannelSpec:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
 
 
-def _phase_factors_1q(factors: DampingFactors) -> list[np.ndarray]:
-    """Single-qubit dephasing pair {diag(gamma, 1), diag(omega, 0)}.
+def kraus_1q(kind: str, factors: DampingFactors) -> list[np.ndarray]:
+    """Single-qubit Kraus operators of the given kind, each set trace preserving.
 
-    The pair is trace preserving and multiplies the qubit's off-diagonal
-    element by gamma while leaving both populations alone.
+    phase: {diag(gamma, 1), diag(omega, 0)}, populations stay put.
+    amplitude: {diag(gamma, 1), omega |-><+|}, the upper-level population
+    survives with weight gamma^2 and the remainder lands in the lower level.
+    equalizing: the decay pair in both directions, halved,
+    {diag(gamma, 1), omega |-><+|, diag(1, gamma), omega |+><-|} / sqrt(2);
+    populations perform a symmetric two-state mix, staying put with
+    probability (1 + gamma^2)/2.  Every kind multiplies the off-diagonal
+    element by gamma.
     """
     gamma, omega = factors
-    return [
-        np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex),
-        np.array([[omega, 0.0], [0.0, 0.0]], dtype=complex),
-    ]
-
-
-def _amplitude_factors_1q(factors: DampingFactors) -> list[np.ndarray]:
-    """Single-qubit decay pair {diag(gamma, 1), omega |-><+|}.
-
-    Upper-level population survives with weight gamma^2, the remainder lands
-    in the lower level; the off-diagonal element shrinks by gamma.
-    """
-    gamma, omega = factors
-    return [
-        np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex),
-        np.array([[0.0, 0.0], [omega, 0.0]], dtype=complex),
-    ]
-
-
-def kraus_equalizing_1q(factors: DampingFactors) -> list[np.ndarray]:
-    """Single-qubit equalizing set of four operators.
-
-    Halved copies of the decay pair act in both directions:
-
-        G1 = diag(gamma, 1)/sqrt(2)    G2 = omega |-><+| / sqrt(2)
-        G3 = diag(1, gamma)/sqrt(2)    G4 = omega |+><-| / sqrt(2)
-
-    The set is trace preserving.  Populations perform a symmetric two-state
-    mix, staying put with probability (1 + gamma^2)/2, and the off-diagonal
-    element keeps the single factor gamma.
-    """
-    gamma, omega = factors
+    keep = np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex)
+    if kind == "phase":
+        return [keep, np.array([[omega, 0.0], [0.0, 0.0]], dtype=complex)]
+    decay = np.array([[0.0, 0.0], [omega, 0.0]], dtype=complex)
+    if kind == "amplitude":
+        return [keep, decay]
     h = 1.0 / math.sqrt(2.0)
     return [
-        h * np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex),
-        h * np.array([[0.0, 0.0], [omega, 0.0]], dtype=complex),
+        h * keep,
+        h * decay,
         h * np.array([[1.0, 0.0], [0.0, gamma]], dtype=complex),
         h * np.array([[0.0, omega], [0.0, 0.0]], dtype=complex),
     ]
 
 
-def product_channel(
-    ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """All pairwise tensor products of two single-qubit operator lists.
-
-    If each input list is trace preserving on its own qubit, the product
-    list is trace preserving on the pair.
-    """
-    return [np.kron(ka, kb) for ka in ops_a for kb in ops_b]
-
-
-def kraus_phase(factors_a: DampingFactors, factors_b: DampingFactors) -> list[np.ndarray]:
-    """Two-qubit dephasing set (4 operators)."""
-    return product_channel(_phase_factors_1q(factors_a), _phase_factors_1q(factors_b))
-
-
-def kraus_amplitude(factors_a: DampingFactors, factors_b: DampingFactors) -> list[np.ndarray]:
-    """Two-qubit decay set (4 operators)."""
-    return product_channel(_amplitude_factors_1q(factors_a), _amplitude_factors_1q(factors_b))
-
-
-def kraus_equalizing(factors_a: DampingFactors, factors_b: DampingFactors) -> list[np.ndarray]:
-    """Two-qubit equalizing set (16 operators)."""
-    return product_channel(kraus_equalizing_1q(factors_a), kraus_equalizing_1q(factors_b))
-
-
 def kraus_set(spec: ChannelSpec, t: float) -> list[np.ndarray]:
-    """Kraus operators of the given channel after evolving for time t."""
-    factors_a = damping(spec.rate_a, t)
-    factors_b = damping(spec.rate_b, t)
-    if spec.kind == "phase":
-        return kraus_phase(factors_a, factors_b)
-    if spec.kind == "amplitude":
-        return kraus_amplitude(factors_a, factors_b)
-    return kraus_equalizing(factors_a, factors_b)
+    """Kraus operators of the given channel after evolving for time t: all
+    pairwise tensor products of the two qubits' single-qubit sets (4
+    operators for phase and amplitude, 16 for equalizing)."""
+    ops_a = kraus_1q(spec.kind, damping(spec.rate_a, t))
+    ops_b = kraus_1q(spec.kind, damping(spec.rate_b, t))
+    return [np.kron(ka, kb) for ka in ops_a for kb in ops_b]
 
 
 def check_cptp(ops: Sequence[np.ndarray]) -> float:

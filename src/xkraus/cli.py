@@ -404,15 +404,7 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> int:
     mismatch = inf_norm_diff(apply_local_unitary(to_dense(psi), flip_a_unitary()), to_dense(phi))
     spec = ChannelSpec("amplitude")
     fate_psi = _esd_doc(esd_time_numeric(psi, spec, horizon=horizon, tol=tol), 1.0)
-    if fid == 1.0:
-        # pure Bell pair: concurrence = exp(-2*tau) exactly, positive at every
-        # finite time, but the float margin underflows to zero near tau = 36,
-        # so the sign search cannot resolve it; report the closed form instead
-        fate_phi = _esd_doc(
-            EsdResult.alive_at_horizon(horizon, math.exp(-2.0 * horizon)), 1.0
-        )
-    else:
-        fate_phi = _esd_doc(esd_time_numeric(phi, spec, horizon=horizon, tol=tol), 1.0)
+    fate_phi = _esd_doc(esd_time_numeric(phi, spec, horizon=horizon, tol=tol), 1.0)
     analytic_phi = _esd_doc(
         esd_time_amplitude_phi_werner(fid) if 0.5 < fid < 1.0 else None, 1.0
     )

@@ -9,10 +9,12 @@ C = 2 * max(0, |z| - sqrt(a*d), |w| - sqrt(b*c)); the two routes are checked
 against each other in the tests.
 
 Although every matrix element decays smoothly under the noise channels,
-concurrence can hit zero at a finite time and stay there.  The searches
-below locate that time.  Search horizons and tolerances are given in the
-dimensionless product rate * t; times stored in results are physical, so
-the two coincide at the default rate 1.
+concurrence can hit zero at a finite time and stay there; local channels
+cannot recreate entanglement, so the searches below need only an exact sign
+test, on an expansion that neither cancels nor underflows (_Expansion).
+Search horizons and tolerances are given in the dimensionless product
+rate * t; times stored in results are physical, so the two coincide at the
+default rate 1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, propagate_x
+from .channels import ChannelSpec, _population_map
+# not called here; bench/test_bench.py checks that its tracer patches this
+# imported name
+from .channels import propagate_x  # noqa: F401
 from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff
 from .states import XState, _check_fidelity, werner_psi
 
@@ -45,7 +50,6 @@ _CLAMP_TOL = 1e-10
 
 _DEFAULT_HORIZON = 60.0
 _DEFAULT_TOL = 1e-10
-_GRID_POINTS = 512
 
 _SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -98,8 +102,9 @@ class EsdResult:
     """Outcome of a sudden-death search.
 
     status is "dies" (concurrence reaches zero at .time), "alive" (still
-    entangled at .horizon, where the concurrence is .c_final), or
-    "separable" (no entanglement already at t = 0).  Stored times are
+    entangled at .horizon, where the concurrence is .c_final; 0.0 there
+    means positive but below the float64 range), or "separable" (no
+    entanglement already at t = 0).  Stored times are
     physical; multiply by the channel rate for the dimensionless product.
     """
 
@@ -116,8 +121,8 @@ class EsdResult:
 
     @classmethod
     def alive_at_horizon(cls, horizon: float, c_final: float) -> "EsdResult":
-        if not c_final > 0.0:
-            raise ValueError("a surviving state must keep positive concurrence")
+        if not c_final >= 0.0:
+            raise ValueError("a surviving state cannot have negative or NaN concurrence")
         return cls(status=ALIVE, horizon=float(horizon), c_final=float(c_final))
 
     @classmethod
@@ -170,19 +175,87 @@ def esd_time_amplitude_phi_werner(fidelity: float, rate: float = 1.0) -> EsdResu
     return EsdResult.dies(math.log((2.0 * fidelity + 1.0) / (4.0 - 4.0 * fidelity)) / rate)
 
 
+class _Expansion:
+    """Both branches of an evolving X state's margin as sums of exponentials.
+
+    With x = gamma^2 per qubit, each qubit's population map is
+    T(x) = T(0) + x (T(1) - T(0)), so every evolved population is bilinear
+    in (1, x_A) x (1, x_B), and both coherences scale as x_A x_B.  Each
+    branch's squared margin, |z|^2 x_A x_B - a'd' or |w|^2 x_A x_B - b'c',
+    has the sign of the branch and is a polynomial of degree <= 2 in each x:
+    a sum of c_k exp(-e_k tau) with x = exp(-tau * rate / rate_ref).  Terms
+    of equal exponent are merged, so leading terms cancel exactly in the
+    coefficients, and the exponents are shifted so that the slowest
+    surviving term is constant: no evaluation underflows to a false zero.
+    """
+
+    def __init__(self, state: XState, spec: ChannelSpec) -> None:
+        rate_ref = max(spec.rate_a, spec.rate_b)
+        alpha, beta = spec.rate_a / rate_ref, spec.rate_b / rate_ref
+        self.decay = alpha + beta  # x_A x_B = exp(-decay * tau)
+        t0 = np.reshape(_population_map(spec.kind, 0.0), (2, 2))
+        maps = np.stack([t0, np.reshape(_population_map(spec.kind, 1.0), (2, 2)) - t0])
+        pops = np.array([[state.a, state.b], [state.c, state.d]])
+        # poly[i, j, r, s]: coefficient of x_A^i x_B^j in the population at row r, column s
+        poly = np.einsum("irb,bc,jsc->ijrs", maps, pops, maps)
+        self.branches = []
+        for coh, p, q in (
+            (abs(state.z), poly[:, :, 0, 0], poly[:, :, 1, 1]),
+            (abs(state.w), poly[:, :, 0, 1], poly[:, :, 1, 0]),
+        ):
+            coef = np.zeros((3, 3))
+            for (i, j), pij in np.ndenumerate(p):
+                coef[i : i + 2, j : j + 2] -= pij * q
+            coef[1, 1] += coh * coh
+            # exponent -> [coefficient, i, j]; exponent differences are taken
+            # from the powers, so a small rate keeps its relative precision
+            merged: dict[float, list] = {}
+            for (i, j), c in np.ndenumerate(coef):
+                merged.setdefault(i * alpha + j * beta, [0.0, i, j])[0] += float(c)
+            live = sorted((e, c, i, j) for e, (c, i, j) in merged.items() if c != 0.0)
+            if live:
+                _, _, i0, j0 = live[0]
+                terms = [(c, (i - i0) * alpha + (j - j0) * beta) for _, c, i, j in live]
+                # u = branch / (x_A x_B) = shifted sum * exp(-excess * tau)
+                excess = (i0 - 1) * alpha + (j0 - 1) * beta
+                self.branches.append((coh, excess, terms))
+
+    @staticmethod
+    def _shifted(terms: list[tuple[float, float]], tau: float) -> float:
+        return sum(c * math.exp(-e * tau) for c, e in terms)
+
+    def entangled(self, tau: float) -> bool:
+        return any(self._shifted(terms, tau) > 0.0 for _, _, terms in self.branches)
+
+    def concurrence(self, tau: float) -> float:
+        """Concurrence without cancellation: C = 2 gamma_A gamma_B u /
+        (|coh| + sqrt(|coh|^2 - u)) on the positive branch (an X state has
+        at most one), where u = branch / (x_A x_B) lies in (0, |coh|^2]."""
+        for coh, excess, terms in self.branches:
+            shifted = self._shifted(terms, tau)
+            if shifted > 0.0:
+                u = math.exp(math.log(shifted) - excess * tau)
+                root = math.sqrt(max(0.0, coh * coh - u))
+                return 2.0 * math.exp(-0.5 * self.decay * tau) * u / (coh + root)
+        return 0.0
+
+
 def esd_time_numeric(
     state: XState,
     spec: ChannelSpec,
     horizon: float = _DEFAULT_HORIZON,
     tol: float = _DEFAULT_TOL,
 ) -> EsdResult:
-    """Locate the first concurrence zero of an evolving X state.
+    """Locate the concurrence zero of an evolving X state.
 
-    The dimensionless interval [0, horizon] (units of the larger channel
-    rate times t) is scanned on a 512-point grid for a sign change of the
-    entanglement margin, then bisected down to tol.  A state whose margin
-    never drops to zero is reported alive with its final concurrence; one
-    with zero initial concurrence is reported separable outright.
+    Entanglement, once lost, never returns under local channels, so one
+    exact sign test at the horizon (units of the larger channel rate times
+    t) decides the fate: a state still entangled there is reported alive
+    with its concurrence, computed without cancellation; otherwise
+    [0, horizon] is bisected down to tol, or to adjacent floats where their
+    spacing exceeds tol.  The same path serves every channel kind and rate
+    pair, including a zero rate.  A state with zero initial concurrence is
+    reported separable outright.
     """
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
@@ -191,29 +264,20 @@ def esd_time_numeric(
     rate_ref = max(spec.rate_a, spec.rate_b)
     if rate_ref <= 0.0:
         raise ValueError("at least one channel rate must be positive")
-
-    def margin_at(s: float) -> float:
-        return _margin(propagate_x(state, spec, s / rate_ref))
-
     if _margin(state) <= 0.0:
         return EsdResult.initially_separable()
-    lo = 0.0
-    hi = None
-    for s in np.linspace(0.0, horizon, _GRID_POINTS)[1:]:
-        s = float(s)
-        if margin_at(s) <= 0.0:
-            hi = s
-            break
-        lo = s
-    if hi is None:
-        return EsdResult.alive_at_horizon(horizon / rate_ref, 2.0 * margin_at(horizon))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin_at(mid) <= 0.0:
-            hi = mid
-        else:
+    expansion = _Expansion(state, spec)
+    if expansion.entangled(horizon):
+        return EsdResult.alive_at_horizon(horizon / rate_ref, expansion.concurrence(horizon))
+    lo, hi = 0.0, float(horizon)
+    mid = 0.5 * hi
+    while hi - lo > tol and lo < mid < hi:
+        if expansion.entangled(mid):
             lo = mid
-    return EsdResult.dies(0.5 * (lo + hi) / rate_ref)
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return EsdResult.dies(mid / rate_ref)
 
 
 def critical_fidelity_amplitude() -> float:
@@ -232,10 +296,11 @@ def critical_fidelity_numeric(
 ) -> float:
     """Locate the survival boundary by bisecting the fidelity axis.
 
-    Each probe classifies werner_psi(F) under equal-rate amplitude noise as
-    dying or surviving within the horizon.  A finite horizon classifies very
-    slow deaths as survival, which biases the returned boundary slightly
-    below the analytic value; at horizon 60 the bias is far below f_tol.
+    Each probe classifies werner_psi(F) under equal-rate amplitude noise
+    by one exact sign test: separable at the horizon means it died within
+    it.  A finite horizon classifies very slow deaths as survival, which
+    biases the returned boundary slightly below the analytic value; at
+    horizon 60 the bias is far below f_tol.
     """
     if not (isinstance(f_tol, (int, float)) and math.isfinite(f_tol) and f_tol > 0.0):
         raise ValueError(f"f_tol must be finite and positive, got {f_tol}")
@@ -243,7 +308,7 @@ def critical_fidelity_numeric(
     spec = ChannelSpec("amplitude", rate, rate)
 
     def dies(f: float) -> bool:
-        return esd_time_numeric(werner_psi(f), spec, horizon=horizon).status == DIES
+        return not _Expansion(werner_psi(f), spec).entangled(horizon)
 
     lo, hi = 0.55, 0.95
     if not dies(lo) or dies(hi):

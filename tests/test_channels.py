@@ -11,7 +11,7 @@ from xkraus.channels import (
     apply,
     check_cptp,
     damping,
-    kraus_equalizing_1q,
+    kraus_1q,
     kraus_set,
     propagate_x,
     x_form_residual,
@@ -77,7 +77,7 @@ def test_kraus_sets_are_trace_preserving():
 
 def test_equalizing_single_qubit_completeness():
     for t in (0.0, 0.3, 2.0):
-        ops = kraus_equalizing_1q(damping(1.0, t))
+        ops = kraus_1q("equalizing", damping(1.0, t))
         assert len(ops) == 4
         acc = sum(k.conj().T @ k for k in ops)
         assert inf_norm_diff(acc, IDENTITY_2) <= 1e-15

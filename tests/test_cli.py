@@ -230,6 +230,44 @@ def test_esd_separable_and_alive_paths(capsys):
     assert "alive at horizon" in out
 
 
+def test_esd_pure_werner_phi_survives_amplitude_noise(capsys):
+    # C = exp(-2 tau) never reaches zero; the float margin underflowed and
+    # reported death at tau = 37.43
+    code, out, _ = run(
+        capsys, "esd", "--channel", "amplitude", "--family", "werner-phi",
+        "--fidelity", "1", "--format", "json",
+    )
+    assert code == 0
+    numeric = json.loads(out)["numeric"]
+    assert numeric["status"] == "alive"
+    c = numeric["concurrence_at_horizon"]
+    assert c == pytest.approx(math.exp(-120.0), rel=1e-12, abs=0.0)
+
+
+def test_esd_survival_above_critical_fidelity_at_long_horizon(capsys):
+    # F = 0.9 lies above (3 sqrt(5) - 1)/8, so the state survives forever;
+    # C ~ exp(-800)/2 is positive but below the float64 range
+    code, out, _ = run(
+        capsys, "esd", "--channel", "amplitude", "--fidelity", "0.9", "--horizon", "800",
+    )
+    assert code == 0
+    assert "numeric (horizon tau=800, tol=1e-10): alive at horizon tau = 800 with concurrence 0\n" in out
+
+
+def test_esd_survivor_concurrence_has_no_cancellation(capsys):
+    code, out, _ = run(
+        capsys, "esd", "--channel", "amplitude", "--fidelity", "0.87", "--horizon", "400",
+        "--format", "json",
+    )
+    assert code == 0
+    f = 0.87
+    # for tau >> 1, C = 2 exp(-tau) ((4F - 1)/6 - sqrt((1 - F)/3)) up to a
+    # relative O(exp(-tau)); about 7.8586e-175 here
+    exact = 2.0 * math.exp(-400.0) * ((4.0 * f - 1.0) / 6.0 - math.sqrt((1.0 - f) / 3.0))
+    c = json.loads(out)["numeric"]["concurrence_at_horizon"]
+    assert c == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+
 def test_critical_fidelity_reports(capsys):
     code, out, _ = run(capsys, "critical-fidelity")
     assert code == 0
@@ -237,6 +275,13 @@ def test_critical_fidelity_reports(capsys):
     code, out, _ = run(capsys, "critical-fidelity", "--format", "json")
     doc = json.loads(out)
     assert abs(doc["analytic"] - 0.7135254915624212) < 1e-12
+    assert abs(doc["numeric"] - doc["analytic"]) < 1e-9
+
+
+def test_critical_fidelity_long_horizon(capsys):
+    code, out, _ = run(capsys, "critical-fidelity", "--horizon", "800", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
     assert abs(doc["numeric"] - doc["analytic"]) < 1e-9
 
 
@@ -261,6 +306,9 @@ def test_demo_local_ops_pure_bell_both_survive(capsys):
     doc = json.loads(out)
     assert doc["amplitude_fate_psi"]["status"] == "alive"
     assert doc["amplitude_fate_phi"]["status"] == "alive"
+    # concurrence exp(-2 tau) at the default horizon 60
+    c_phi = doc["amplitude_fate_phi"]["concurrence_at_horizon"]
+    assert c_phi == pytest.approx(math.exp(-120.0), rel=1e-12, abs=0.0)
     assert doc["amplitude_fate_phi_analytic"] is None
     assert doc["transform_residual"] == 0.0
 

@@ -104,8 +104,11 @@ def test_esd_result_constructors():
     assert EsdResult.initially_separable().status == SEPARABLE
     with pytest.raises(ValueError):
         EsdResult.dies(-1.0)
-    with pytest.raises(ValueError):
-        EsdResult.alive_at_horizon(60.0, 0.0)
+    # 0.0 is a positive concurrence below the float64 range
+    assert EsdResult.alive_at_horizon(800.0, 0.0).c_final == 0.0
+    for bad in (-1e-3, math.nan):
+        with pytest.raises(ValueError):
+            EsdResult.alive_at_horizon(60.0, bad)
 
 
 def test_phase_werner_death_time_frozen_points():
@@ -178,12 +181,51 @@ def test_numeric_search_equalizing_bell_frozen_point():
     assert abs(result.time - EQUALIZING_BELL_TAU) <= 1e-8
 
 
+def test_paper_closed_forms_hold_at_every_horizon():
+    # the answers may not depend on the horizon: a float margin that cancels
+    # or underflows once reported false deaths at long horizons
+    f_c = critical_fidelity_amplitude()
+    bell = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
+    for horizon in (60.0, 200.0, 800.0):
+        for f in (0.6, 0.8, 0.95):
+            numeric = esd_time_numeric(werner_psi(f), ChannelSpec("phase"), horizon=horizon)
+            assert numeric.status == DIES
+            assert abs(numeric.time - esd_time_phase_werner(f).time) <= 1e-8
+            numeric = esd_time_numeric(werner_phi(f), ChannelSpec("amplitude"), horizon=horizon)
+            assert numeric.status == DIES
+            assert abs(numeric.time - esd_time_amplitude_phi_werner(f).time) <= 1e-8
+        # pure Bell states keep C = exp(-tau) under phase and exp(-2 tau)
+        # under amplitude noise; 0.0 once that is below the float64 range
+        alive = esd_time_numeric(werner_psi(1.0), ChannelSpec("phase"), horizon=horizon)
+        assert alive.status == ALIVE
+        assert alive.c_final == pytest.approx(math.exp(-horizon), rel=1e-12, abs=0.0)
+        alive = esd_time_numeric(werner_phi(1.0), ChannelSpec("amplitude"), horizon=horizon)
+        assert alive.status == ALIVE
+        assert alive.c_final == pytest.approx(math.exp(-2.0 * horizon), rel=1e-12, abs=0.0)
+        numeric = esd_time_numeric(bell, ChannelSpec("equalizing"), horizon=horizon)
+        assert numeric.status == DIES
+        assert abs(numeric.time - EQUALIZING_BELL_TAU) <= 1e-8
+        above = esd_time_numeric(werner_psi(f_c + 1e-4), ChannelSpec("amplitude"), horizon=horizon)
+        assert above.status == ALIVE and above.horizon == horizon
+
+
 def test_numeric_search_reports_physical_time():
     result = esd_time_numeric(werner_psi(0.8), ChannelSpec("phase", 2.0, 2.0))
     assert abs(result.time - LN_5_5 / 2.0) <= 1e-8
     # one silent qubit: the coherence still decays through the active one
     result = esd_time_numeric(werner_psi(0.8), ChannelSpec("phase", 2.0, 0.0))
     assert abs(result.time - LN_5_5) <= 1e-8
+
+
+def test_numeric_search_resolves_a_slow_death():
+    # qubit A relaxes by tau ~ 40; after that the inner branch of
+    # werner_psi(0.7) is x_A x_B (|z|^2 - a (1 - (a + c) x_B)), which
+    # vanishes at x_B = (a - |z|^2) / (a (a + c)) = 1/5, so tau = ln 5 / 1e-9
+    result = esd_time_numeric(
+        werner_psi(0.7), ChannelSpec("amplitude", 1.0, 1e-9), horizon=1e12
+    )
+    assert result.status == DIES
+    assert result.time == pytest.approx(math.log(5.0) / 1e-9, rel=1e-12)
 
 
 def test_numeric_search_initially_separable():
