@@ -13,9 +13,13 @@ gamma = exp(-rate * t / 2) and omega = sqrt(1 - gamma^2):
 
 ``propagate_x`` evolves X states with one closed-form rule for every kind
 and rate pair: each qubit's populations pass through a 2x2 stochastic map
-and both coherences shrink by gamma_A * gamma_B.  The explicit Kraus
-operators (``kraus_set``, applied by ``apply``) are the independent
-reference route; the tests and ``verify`` check the rule against them.
+and both coherences shrink by gamma_A * gamma_B.  The rule is one kernel,
+``_evolve_x``, written with arithmetic operators only: ``propagate_x`` runs
+it on floats, and the CLI's grid commands run it once on numpy arrays of
+start states and per-time factors, with the same rounding.  The explicit
+Kraus operators (``kraus_set``, built from ``damping``, applied by
+``apply``) are the independent reference route; the tests and ``verify``
+check the rule against them.
 """
 
 from __future__ import annotations
@@ -154,9 +158,9 @@ def apply(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _population_map(kind: str, gamma: float) -> tuple[float, float, float, float]:
+def _population_map(kind: str, gamma):
     """Row-major 2x2 stochastic map T(gamma^2) that one qubit's channel
-    applies to its (upper, lower) populations."""
+    applies to its (upper, lower) populations; gamma may be a numpy array."""
     g2 = gamma * gamma
     if kind == "phase":
         return 1.0, 0.0, 0.0, 1.0
@@ -165,6 +169,37 @@ def _population_map(kind: str, gamma: float) -> tuple[float, float, float, float
     stay = 0.5 * (1.0 + g2)
     flip = 0.5 * (1.0 - g2)
     return stay, flip, flip, stay
+
+
+def _time_factors(spec: ChannelSpec, t: float) -> tuple[float, float]:
+    """gamma_A, gamma_B = exp(-rate * t / 2) after time t, which must be
+    finite and >= 0; the rates were checked by ChannelSpec."""
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    return math.exp(-0.5 * spec.rate_a * t), math.exp(-0.5 * spec.rate_b * t)
+
+
+def _evolve_x(kind: str, gamma_a, gamma_b, a, b, c, d, z, w):
+    """The closed-form rule of propagate_x on bare X parameters.
+
+    It uses only arithmetic operators, so it takes floats, or numpy arrays
+    that broadcast together (say start states as columns and per-time
+    factors as a row), and rounds every element as the float rule does.
+    """
+    ta00, ta01, ta10, ta11 = _population_map(kind, gamma_a)
+    tb00, tb01, tb10, tb11 = _population_map(kind, gamma_b)
+    # the two rows of T_A P; each then multiplies T_B^T
+    up0, up1 = ta00 * a + ta01 * c, ta00 * b + ta01 * d
+    dn0, dn1 = ta10 * a + ta11 * c, ta10 * b + ta11 * d
+    shrink = gamma_a * gamma_b
+    return (
+        up0 * tb00 + up1 * tb01,
+        up0 * tb10 + up1 * tb11,
+        dn0 * tb00 + dn1 * tb01,
+        dn0 * tb10 + dn1 * tb11,
+        shrink * z,
+        shrink * w,
+    )
 
 
 def propagate_x(state: XState, spec: ChannelSpec, t: float) -> XState:
@@ -177,22 +212,10 @@ def propagate_x(state: XState, spec: ChannelSpec, t: float) -> XState:
     equalizing.  Both coherences are multiplied by gamma_A * gamma_B.  The
     same rule holds for every kind and every rate pair.
     """
-    gamma_a = damping(spec.rate_a, t).gamma
-    gamma_b = damping(spec.rate_b, t).gamma
-    ta00, ta01, ta10, ta11 = _population_map(spec.kind, gamma_a)
-    tb00, tb01, tb10, tb11 = _population_map(spec.kind, gamma_b)
-    # the two rows of T_A P; each then multiplies T_B^T
-    up0, up1 = ta00 * state.a + ta01 * state.c, ta00 * state.b + ta01 * state.d
-    dn0, dn1 = ta10 * state.a + ta11 * state.c, ta10 * state.b + ta11 * state.d
-    shrink = gamma_a * gamma_b
-    return XState(
-        up0 * tb00 + up1 * tb01,
-        up0 * tb10 + up1 * tb11,
-        dn0 * tb00 + dn1 * tb01,
-        dn0 * tb10 + dn1 * tb11,
-        shrink * state.z,
-        shrink * state.w,
-    )
+    gamma_a, gamma_b = _time_factors(spec, t)
+    return XState(*_evolve_x(
+        spec.kind, gamma_a, gamma_b, state.a, state.b, state.c, state.d, state.z, state.w
+    ))
 
 
 def x_form_residual(rho: np.ndarray) -> float:

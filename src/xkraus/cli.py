@@ -12,8 +12,13 @@ Subcommands:
 ``_COMMANDS`` maps each subcommand to its handler, help and ``_Opt`` options.
 Flag text and ``--config`` values pass the same ``_Opt.parse``; a bad value
 exits 2 with ``error: --flag: <rule>`` or ``error: config key 'key': <rule>``.
-Handlers hand a JSON document and text lines to ``_emit``, which writes the
-one ``--format`` names.
+Every command hands ``_emit`` an iterable of text chunks.  The report
+commands give one chunk, their JSON document or text lines as ``--format``
+names.  ``evolve`` and ``sweep`` share ``_grid``: it evolves every start
+state in one broadcast pass of the ``propagate_x`` kernel, checks every
+evolved state, and only then streams CSV, or JSON byte-identical to
+``json.dumps(doc, indent=2)``, one chunk per start state.  A command that
+fails writes nothing.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -28,16 +33,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
-from .channels import CHANNEL_KINDS, ChannelSpec, propagate_x
+from .channels import CHANNEL_KINDS, ChannelSpec, _evolve_x, _time_factors
 from .entanglement import (
     ALIVE,
     DIES,
     EsdResult,
+    _larger,
+    _margin,
     concurrence_x,
     critical_fidelity_amplitude,
     critical_fidelity_numeric,
@@ -46,7 +54,15 @@ from .entanglement import (
     esd_time_phase_werner,
 )
 from .linalg import NumericalFailureError, inf_norm_diff
-from .states import XState, apply_local_unitary, flip_a_unitary, to_dense, werner_phi, werner_psi
+from .states import (
+    XState,
+    _check_x,
+    apply_local_unitary,
+    flip_a_unitary,
+    to_dense,
+    werner_phi,
+    werner_psi,
+)
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_all
 
 _WERNER = {"werner-psi": werner_psi, "werner-phi": werner_phi}
@@ -169,20 +185,24 @@ def _merge_options(ns: argparse.Namespace) -> dict[str, Any]:
     return values
 
 
-def _emit(values: dict[str, Any], doc: dict[str, Any], lines: Iterable[str]) -> None:
-    """Write doc as JSON if --format is json, otherwise the text lines.
+def _emit(values: dict[str, Any], chunks: Iterable[str]) -> None:
+    """Write the text chunks to --out, or to stdout for -.
 
-    lines may be a generator: it is consumed only when text is written.
+    Chunks may be generated while they are written, so every check that can
+    fail a command runs before _emit: a failed command writes nothing.
     """
-    if values["format"] == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
     if values["out"] in (None, "", "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(values["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _report(values: dict[str, Any], doc: dict[str, Any], lines: list[str]) -> list[str]:
+    """A report's text: doc as JSON if --format is json, otherwise the lines."""
+    if values["format"] == "json":
+        return [json.dumps(doc, indent=2) + "\n"]
+    return ["\n".join(lines) + "\n"]
 
 
 def _fmt(value: float | None) -> str:
@@ -231,10 +251,15 @@ def _default_tau_max(values: dict[str, Any]) -> float:
     return 5.0 if values["channel"] == "phase" else 10.0
 
 
-def _csv_lines(records: list[dict[str, Any]]) -> Iterator[str]:
-    yield ",".join(_CSV_FIELDS)
-    for r in records:
-        yield ",".join(_fmt(v) for v in r.values())
+# One grid row as CSV and as a json.dumps(indent=2) record: floats go through
+# '%.12g' (as format(x, '.12g') does) and '%r' (float.__repr__, as json does);
+# the fidelity arrives as text, since a custom-x start has none.
+_CSV_ROW = ",".join("%s" if key == "fidelity" else "%.12g" for key in _CSV_FIELDS) + "\n"
+_JSON_RECORD = (
+    "    {\n"
+    + ",\n".join(f'      "{key}": %{"s" if key == "fidelity" else "r"}' for key in _CSV_FIELDS)
+    + "\n    }"
+)
 
 
 def _grid(
@@ -246,22 +271,48 @@ def _grid(
     **grid: Any,
 ) -> int:
     """Evolve each (fidelity, state) start along the tau grid and emit one
-    record per point, start-major; a record's keys are _CSV_FIELDS in order."""
+    row per point, start-major, with the fields _CSV_FIELDS.
+
+    The starts were checked when built.  One broadcast call of the
+    propagate_x kernel evolves them all, with per-tau factors from
+    propagate_x's own math.exp, so every number rounds as in the float rule;
+    np.hypot of a coherence equals abs() of the complex.  Every evolved state
+    passes the XState check before output starts, one chunk per start.
+    """
     rate_ref = max(spec.rate_a, spec.rate_b)
-    taus = [float(tau) for tau in np.linspace(0.0, tau_end, values["steps"])]
-    records = []
-    for fid, start in starts:
-        for tau in taus:
-            s = propagate_x(start, spec, tau / rate_ref)
-            row = (tau, fid, concurrence_x(s), s.a, s.b, s.c, s.d, abs(s.z), abs(s.w))
-            records.append(dict(zip(_CSV_FIELDS, row)))
+    taus = np.linspace(0.0, tau_end, values["steps"]).tolist()
+    gamma_a, gamma_b = np.array([_time_factors(spec, tau / rate_ref) for tau in taus]).T
+    columns = (np.array([[getattr(s, key)] for _, s in starts]) for key in "abcdzw")
+    a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *columns)
+    abs_z, abs_w = np.hypot(z.real, z.imag), np.hypot(w.real, w.imag)
+    cols = [np.broadcast_to(x, (len(starts), len(taus))) for x in (a, b, c, d, abs_z, abs_w)]
+    _check_x(*cols)
+    cols.insert(0, 2.0 * _margin(*cols, _larger, np.sqrt))
     doc = _meta(
         command, values,
         channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b, family=values["family"], **grid,
     )
-    doc["records"] = records
-    _emit(values, doc, _csv_lines(records))
+    if values["format"] == "json":
+        # the document up to its closing "\n}", then the records array
+        head = json.dumps(doc, indent=2)[:-2] + ',\n  "records": [\n'
+        fid_text = ["null" if fid is None else repr(fid) for fid, _ in starts]
+        rows = _grid_chunks(_JSON_RECORD, ",\n", taus, fid_text, cols)
+        _emit(values, chain([head], rows, ["\n  ]\n}\n"]))
+    else:
+        fid_text = [_fmt(fid) for fid, _ in starts]
+        rows = _grid_chunks(_CSV_ROW, "", taus, fid_text, cols)
+        _emit(values, chain([",".join(_CSV_FIELDS) + "\n"], rows))
     return 0
+
+
+def _grid_chunks(
+    template: str, sep: str, taus: list[float], fid_text: list[str], cols: list[np.ndarray]
+) -> Iterator[str]:
+    """One chunk per start: its rows rendered by template, with sep between
+    consecutive rows, also across chunks."""
+    for i, fid in enumerate(fid_text):
+        rows = zip(taus, repeat(fid), *(col[i].tolist() for col in cols))
+        yield (sep if i else "") + sep.join(template % row for row in rows)
 
 
 def cmd_evolve(values: dict[str, Any]) -> int:
@@ -364,7 +415,7 @@ def cmd_esd(values: dict[str, Any]) -> int:
     if values["rate"] is not None and numeric_doc["status"] == DIES:
         t_phys = numeric_doc["tau"] / values["rate"]
         lines.append(f"physical time at rate {_fmt(values['rate'])}: t = {_fmt(t_phys)}")
-    _emit(values, doc, lines)
+    _emit(values, _report(values, doc, lines))
     return 0
 
 
@@ -385,7 +436,7 @@ def cmd_critical_fidelity(values: dict[str, Any]) -> int:
         f"numeric (horizon tau={_fmt(horizon)}, f_tol={_fmt(f_tol)}): {_fmt(numeric)}",
         f"|analytic - numeric| = {gap:.3e}",
     ]
-    _emit(values, doc, lines)
+    _emit(values, _report(values, doc, lines))
     return 0
 
 
@@ -426,7 +477,7 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> int:
     ]
     if analytic_phi is not None:
         lines.append(f"  werner-phi analytic: {_esd_phrase(analytic_phi)}")
-    _emit(values, doc, lines)
+    _emit(values, _report(values, doc, lines))
     return 0
 
 
@@ -449,7 +500,7 @@ def cmd_verify(values: dict[str, Any]) -> int:
         for r in results
     ]
     lines.append("all checks passed" if all_passed else "verification FAILED")
-    _emit(values, doc, lines)
+    _emit(values, _report(values, doc, lines))
     return 0 if all_passed else 4
 
 

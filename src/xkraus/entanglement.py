@@ -58,16 +58,27 @@ ALIVE = "alive"
 SEPARABLE = "separable"
 
 
-def _margin(state: XState) -> float:
-    """Signed half-concurrence of an X state; positive iff entangled."""
-    inner = abs(state.z) - math.sqrt(max(0.0, state.a * state.d))
-    outer = abs(state.w) - math.sqrt(max(0.0, state.b * state.c))
-    return max(inner, outer)
+def _larger(first, *rest):
+    """Elementwise max by Python's rule, where the first of equal values
+    wins; np.maximum would turn max(0.0, -0.0) into -0.0."""
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _margin(a, b, c, d, abs_z, abs_w, larger=max, sqrt=math.sqrt):
+    """Half the concurrence of an X state, max(0, |z| - sqrt(a*d),
+    |w| - sqrt(b*c)), positive iff entangled.  Numpy arrays are evaluated
+    elementwise, with the same rounding and signs, given larger=_larger and
+    sqrt=np.sqrt."""
+    inner = abs_z - sqrt(larger(0.0, a * d))
+    outer = abs_w - sqrt(larger(0.0, b * c))
+    return larger(0.0, inner, outer)
 
 
 def concurrence_x(state: XState) -> float:
     """Closed-form concurrence of an X state."""
-    return 2.0 * max(0.0, _margin(state))
+    return 2.0 * _margin(state.a, state.b, state.c, state.d, abs(state.z), abs(state.w))
 
 
 def concurrence_general(rho: np.ndarray) -> float:
@@ -264,7 +275,7 @@ def esd_time_numeric(
     rate_ref = max(spec.rate_a, spec.rate_b)
     if rate_ref <= 0.0:
         raise ValueError("at least one channel rate must be positive")
-    if _margin(state) <= 0.0:
+    if concurrence_x(state) <= 0.0:
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
     if expansion.entangled(horizon):

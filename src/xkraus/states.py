@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
 _TRACE_TOL = 1e-12
 _BLOCK_TOL = 1e-12
 _UNITARY_TOL = 1e-12
+_MAX = sys.float_info.max
 
 X_POSITIONS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2), (2, 1), (3, 0))
 OFF_X_POSITIONS = tuple(
@@ -66,20 +68,61 @@ class XState:
     w: complex = 0.0j
 
     def __post_init__(self) -> None:
-        pops = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(float(p)) for p in pops):
-            raise ValueError("populations must be finite")
-        if not (cmath.isfinite(complex(self.z)) and cmath.isfinite(complex(self.w))):
-            raise ValueError("coherences must be finite")
-        if min(pops) < -_TRACE_TOL:
-            raise ValueError(f"negative population {min(pops)}")
-        total = self.a + self.b + self.c + self.d
-        if abs(total - 1.0) > _TRACE_TOL:
-            raise ValueError(f"populations must sum to 1, got {total}")
-        if abs(self.z) ** 2 > self.b * self.c + _BLOCK_TOL:
-            raise ValueError("inner coherence too large: |z|^2 > b*c")
-        if abs(self.w) ** 2 > self.a * self.d + _BLOCK_TOL:
-            raise ValueError("outer coherence too large: |w|^2 > a*d")
+        # math.hypot, since abs() of a complex raises OverflowError past 1.3e308
+        _check_x(
+            self.a, self.b, self.c, self.d,
+            math.hypot(self.z.real, self.z.imag), math.hypot(self.w.real, self.w.imag),
+        )
+
+
+def _x_tests(a, b, c, d, abs_z, abs_w) -> tuple:
+    """The X-state invariants in the order they are reported, each true where
+    it holds.  Only operators are used, so the arguments may be floats or
+    numpy arrays; finiteness is a comparison with the largest float."""
+    return (
+        (abs(a) <= _MAX) & (abs(b) <= _MAX) & (abs(c) <= _MAX) & (abs(d) <= _MAX),
+        (abs_z <= _MAX) & (abs_w <= _MAX),
+        (a >= -_TRACE_TOL) & (b >= -_TRACE_TOL) & (c >= -_TRACE_TOL) & (d >= -_TRACE_TOL),
+        abs(a + b + c + d - 1.0) <= _TRACE_TOL,
+        abs_z * abs_z <= b * c + _BLOCK_TOL,
+        abs_w * abs_w <= a * d + _BLOCK_TOL,
+    )
+
+
+_X_MESSAGES = (
+    "populations must be finite",
+    "coherences must be finite",
+    "negative population {low}",
+    "populations must sum to 1, got {total}",
+    "inner coherence too large: |z|^2 > b*c",
+    "outer coherence too large: |w|^2 > a*d",
+)
+
+
+def _check_x(a, b, c, d, abs_z, abs_w) -> None:
+    """Raise ValueError unless populations a, b, c, d and coherence
+    magnitudes |z|, |w| form a valid X state: all finite, populations
+    >= -1e-12 summing to 1, |z|^2 <= b*c and |w|^2 <= a*d, within 1e-12.
+
+    Takes floats, or numpy arrays that broadcast together and are checked
+    elementwise; an array fails with the message XState gives its first
+    failing element in row-major order.
+    """
+    if isinstance(a, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            holds = np.logical_and.reduce(np.broadcast_arrays(*_x_tests(a, b, c, d, abs_z, abs_w)))
+        if holds.all():
+            return
+        at = int(np.argmin(holds))
+        a, b, c, d, abs_z, abs_w = (
+            col.flat[at].item() for col in np.broadcast_arrays(a, b, c, d, abs_z, abs_w)
+        )
+    holds = _x_tests(a, b, c, d, abs_z, abs_w)
+    if all(holds):
+        return
+    for ok, message in zip(holds, _X_MESSAGES):
+        if not ok:
+            raise ValueError(message.format(low=min(a, b, c, d), total=a + b + c + d))
 
 
 def _check_fidelity(fidelity: float) -> float:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
+from xkraus import ChannelSpec, XState, __version__, concurrence_x, propagate_x, werner_phi, werner_psi
 from xkraus.cli import main
 
 LN_5_5 = 1.7047480922384253
@@ -187,6 +189,108 @@ def test_sweep_grid_layout(capsys):
     assert float(rows[3][2]) == 0.0
     assert float(rows[7][2]) == 0.0
     assert float(rows[11][2]) > 0.0
+
+
+# Grid commands for the golden test: (command, channel, family, rate_a, rate_b,
+# grid options, --rate label).  Between them they cover every channel and
+# family, F = 1/4 and F = 1, complex custom coherences, unequal and one-zero
+# rate pairs and the tau = 0 row that every grid starts with.
+_GOLDEN = [
+    ("evolve", "phase", "werner-psi", 1.0, 1.0, {"fidelity": 0.25, "tau_max": 3.0, "steps": 5}, None),
+    ("evolve", "amplitude", "werner-phi", 1.0, 1.0, {"fidelity": 1.0, "tau_max": 12.5, "steps": 21}, None),
+    ("evolve", "equalizing", "werner-psi", 0.4, 1.7, {"fidelity": 0.9, "tau_max": 6.0, "steps": 11}, 2.5),
+    ("evolve", "amplitude", "custom-x", 0.0, 1.3,
+     {"x_params": (0.3, 0.2, 0.2, 0.3, -0.1, 0.15, 0.12, -0.2), "tau_max": 4.0, "steps": 33}, None),
+    ("evolve", "equalizing", "custom-x", 0.7, 1.9,
+     {"x_params": (0.4, 0.1, 0.2, 0.3, 0.03, -0.13, -0.21, 0.25), "tau_max": 5.0, "steps": 33}, None),
+    ("evolve", "phase", "custom-x", 2.0, 0.5,
+     {"x_params": (0.25, 0.25, 0.25, 0.25, 0.1, 0.2, -0.15, 0.05), "tau_max": 3.0, "steps": 17}, 0.5),
+    ("sweep", "phase", "werner-phi", 1.0, 0.3,
+     {"fidelity_min": 0.25, "fidelity_max": 1.0, "fidelity_steps": 4, "tau_max": 5.0, "steps": 6}, None),
+    ("sweep", "amplitude", "werner-psi", 2.0, 0.0,
+     {"fidelity_min": 0.25, "fidelity_max": 1.0, "fidelity_steps": 7, "tau_max": 10.0, "steps": 9}, None),
+    ("sweep", "equalizing", "werner-phi", 1.5, 1.5,
+     {"fidelity_min": 0.5, "fidelity_max": 0.95, "fidelity_steps": 5, "tau_max": 2.0, "steps": 7}, 4.0),
+    ("sweep", "amplitude", "werner-phi", 1.0, 1.0,
+     {"fidelity_min": 0.6, "fidelity_max": 1.0, "fidelity_steps": 3, "tau_max": 8.0, "steps": 5}, None),
+]
+
+
+def _reference_grid(command, channel, family, rate_a, rate_b, grid, rate, fmt):
+    """The grid text rebuilt row by row from propagate_x and concurrence_x,
+    one record dict per row, written by json.dumps or format(x, '.12g')."""
+    spec = ChannelSpec(channel, rate_a, rate_b)
+    tau_max, steps = grid["tau_max"], grid["steps"]
+    if family == "custom-x":
+        p = grid["x_params"]
+        starts = [(None, XState(p[0], p[1], p[2], p[3], complex(p[4], p[5]), complex(p[6], p[7])))]
+        meta = {"fidelity": None, "x_params": list(p), "tau_max": tau_max, "steps": steps}
+    else:
+        build = {"werner-psi": werner_psi, "werner-phi": werner_phi}[family]
+        if command == "evolve":
+            fids = [grid["fidelity"]]
+            meta = {"fidelity": grid["fidelity"], "x_params": None, "tau_max": tau_max, "steps": steps}
+        else:
+            f_min, f_max, f_steps = grid["fidelity_min"], grid["fidelity_max"], grid["fidelity_steps"]
+            fids = [float(f) for f in np.linspace(f_min, f_max, f_steps)]
+            meta = {
+                "fidelity_grid": {"min": f_min, "max": f_max, "steps": f_steps},
+                "tau_grid": {"min": 0.0, "max": tau_max, "steps": steps},
+            }
+        starts = [(f, build(f)) for f in fids]
+    rate_ref = max(rate_a, rate_b)
+    records = []
+    for fid, start in starts:
+        for tau in (float(t) for t in np.linspace(0.0, tau_max, steps)):
+            s = propagate_x(start, spec, tau / rate_ref)
+            records.append({
+                "tau": tau, "fidelity": fid, "concurrence": concurrence_x(s),
+                "a": s.a, "b": s.b, "c": s.c, "d": s.d, "abs_z": abs(s.z), "abs_w": abs(s.w),
+            })
+    if fmt == "json":
+        doc = {
+            "tool": "xkraus", "version": __version__, "command": command, "channel": channel,
+            "rate_a": rate_a, "rate_b": rate_b, "family": family, **meta, "rate_label": rate,
+            "records": records,
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [",".join(records[0])]
+    lines += [",".join("nan" if v is None else format(v, ".12g") for v in r.values()) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", _GOLDEN, ids=[f"{c[0]}-{c[1]}-{c[2]}-{i}" for i, c in enumerate(_GOLDEN)])
+def test_grid_output_matches_scalar_reference(tmp_path, capsys, case, fmt):
+    command, channel, family, rate_a, rate_b, grid, rate = case
+    argv = [command, "--channel", channel, "--family", family]
+    argv += ["--rate-a", repr(rate_a), "--rate-b", repr(rate_b)]
+    for key, value in grid.items():
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        argv += ["--" + key.replace("_", "-"), text]
+    if rate is not None:
+        argv += ["--rate", repr(rate)]
+    argv += ["--format", fmt]
+    expected = _reference_grid(command, channel, family, rate_a, rate_b, grid, rate, fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+    path = tmp_path / "grid.out"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == expected.encode()
+
+
+def test_failed_grid_leaves_no_out_file(tmp_path, capsys):
+    path = tmp_path / "grid.out"
+    bad_state = ["--family", "custom-x", "--x-params", "0.25,0.25,0.25,0.25,0.9,0,0,0"]
+    # at this rate every tau > 0 is an infinite time
+    bad_time = ["--fidelity", "0.8", "--rate-a", "1e-320", "--rate-b", "0"]
+    for argv in (bad_state, bad_time):
+        code, out, err = run(capsys, "evolve", "--channel", "amplitude", *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert not path.exists()
 
 
 def test_sweep_rejects_custom_x_and_bad_range(capsys):

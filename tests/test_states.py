@@ -18,6 +18,7 @@ from xkraus.states import (
     to_dense,
     werner_phi,
     werner_psi,
+    _check_x,
 )
 
 
@@ -43,6 +44,11 @@ def test_xstate_rejects_oversized_coherences():
         XState(0.25, 0.25, 0.25, 0.25, z=0.26)
     with pytest.raises(ValueError):
         XState(0.25, 0.25, 0.25, 0.25, w=0.26)
+    # a magnitude whose square overflows is still too large, not an OverflowError
+    with pytest.raises(ValueError, match="inner coherence too large"):
+        XState(0.25, 0.25, 0.25, 0.25, z=1e200)
+    with pytest.raises(ValueError, match="outer coherence too large"):
+        XState(0.25, 0.25, 0.25, 0.25, w=complex(1e200, -1e200))
 
 
 def test_xstate_rejects_nonfinite():
@@ -50,6 +56,27 @@ def test_xstate_rejects_nonfinite():
         XState(math.nan, 0.4, 0.3, 0.3)
     with pytest.raises(ValueError):
         XState(0.25, 0.25, 0.25, 0.25, z=complex(math.inf, 0.0))
+
+
+@pytest.mark.parametrize("bad", [
+    (math.nan, 0.5, 0.25, 0.25, 0.0, 0.0),
+    (0.25, 0.25, 0.25, 0.25, complex(0.0, math.inf), 0.0),
+    (-0.1, 0.5, 0.3, 0.3, 0.0, 0.0),
+    (0.3, 0.25, 0.25, 0.25, 0.0, 0.0),
+    (0.25, 0.25, 0.25, 0.25, 0.2 + 0.2j, 0.0),
+    (0.25, 0.25, 0.25, 0.25, 0.0, -0.1 - 0.25j),
+])
+def test_array_check_reports_the_xstate_message_of_its_bad_element(bad):
+    with pytest.raises(ValueError) as scalar:
+        XState(*bad)
+    # a 3 x 4 grid of valid states with the bad one at row 1, column 2
+    good = [werner_psi(f) for f in (0.25, 0.5, 0.8, 1.0)]
+    rows = [[(s.a, s.b, s.c, s.d, s.z, s.w) for s in good] for _ in range(3)]
+    rows[1][2] = bad
+    a, b, c, d, z, w = np.moveaxis(np.array(rows, dtype=complex), -1, 0)
+    with pytest.raises(ValueError) as grid:
+        _check_x(a.real, b.real, c.real, d.real, np.hypot(z.real, z.imag), np.hypot(w.real, w.imag))
+    assert str(grid.value) == str(scalar.value)
 
 
 def test_werner_psi_frozen_point():
