@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 from .channels import (
     CHANNEL_KINDS,
     ChannelSpec,
-    DampingFactors,
     apply,
     check_cptp,
-    damping,
     kraus_1q,
     kraus_set,
     propagate_x,
@@ -55,10 +53,8 @@ __all__ = [
     "__version__",
     "CHANNEL_KINDS",
     "ChannelSpec",
-    "DampingFactors",
     "apply",
     "check_cptp",
-    "damping",
     "kraus_1q",
     "kraus_set",
     "propagate_x",

@@ -1,7 +1,8 @@
 """Markovian noise channels acting independently on each qubit.
 
 Three kinds are supported, each driven by per-qubit damping factors
-gamma = exp(-rate * t / 2) and omega = sqrt(1 - gamma^2):
+gamma = exp(-rate * t / 2), from ``_time_factors`` on every route, and
+omega = sqrt(1 - gamma^2):
 
 * ``phase``       pure dephasing; populations are untouched and each
                   coherence picks up one factor of gamma per damped qubit.
@@ -17,7 +18,7 @@ and both coherences shrink by gamma_A * gamma_B.  The rule is one kernel,
 ``_evolve_x``, written with arithmetic operators only: ``propagate_x`` runs
 it on floats, and the CLI's grid commands run it once on numpy arrays of
 start states and per-time factors, with the same rounding.  The explicit
-Kraus operators (``kraus_set``, built from ``damping``, applied by
+Kraus operators (``kraus_set``, built by ``kraus_1q``, applied by
 ``apply``) are the independent reference route; the tests and ``verify``
 check the rule against them.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,9 +36,7 @@ from .states import OFF_X_POSITIONS, XState
 
 __all__ = [
     "CHANNEL_KINDS",
-    "DampingFactors",
     "ChannelSpec",
-    "damping",
     "kraus_1q",
     "kraus_set",
     "check_cptp",
@@ -49,28 +48,6 @@ __all__ = [
 CHANNEL_KINDS = ("phase", "amplitude", "equalizing")
 
 _CPTP_REJECT_TOL = 1e-12
-
-
-class DampingFactors(NamedTuple):
-    """Per-qubit decay pair: gamma weights the surviving amplitude, omega the
-    transferred one, with gamma^2 + omega^2 = 1."""
-
-    gamma: float
-    omega: float
-
-
-def damping(rate: float, t: float) -> DampingFactors:
-    """Damping factors after evolving for time t at the given rate.
-
-    gamma = exp(-rate * t / 2) runs from 1 at t = 0 toward 0.  Both rate and
-    t must be finite and non-negative.
-    """
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate >= 0.0):
-        raise ValueError(f"rate must be finite and >= 0, got {rate}")
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    gamma = math.exp(-0.5 * rate * t)
-    return DampingFactors(gamma=gamma, omega=math.sqrt(1.0 - gamma * gamma))
 
 
 @dataclass(frozen=True)
@@ -91,8 +68,9 @@ class ChannelSpec:
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
 
 
-def kraus_1q(kind: str, factors: DampingFactors) -> list[np.ndarray]:
-    """Single-qubit Kraus operators of the given kind, each set trace preserving.
+def kraus_1q(kind: str, gamma: float) -> list[np.ndarray]:
+    """Single-qubit Kraus operators of the given kind at damping factor gamma
+    in [0, 1], with omega = sqrt(1 - gamma^2); each set is trace preserving.
 
     phase: {diag(gamma, 1), diag(omega, 0)}, populations stay put.
     amplitude: {diag(gamma, 1), omega |-><+|}, the upper-level population
@@ -103,7 +81,7 @@ def kraus_1q(kind: str, factors: DampingFactors) -> list[np.ndarray]:
     probability (1 + gamma^2)/2.  Every kind multiplies the off-diagonal
     element by gamma.
     """
-    gamma, omega = factors
+    omega = math.sqrt(1.0 - gamma * gamma)
     keep = np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex)
     if kind == "phase":
         return [keep, np.array([[omega, 0.0], [0.0, 0.0]], dtype=complex)]
@@ -123,8 +101,7 @@ def kraus_set(spec: ChannelSpec, t: float) -> list[np.ndarray]:
     """Kraus operators of the given channel after evolving for time t: all
     pairwise tensor products of the two qubits' single-qubit sets (4
     operators for phase and amplitude, 16 for equalizing)."""
-    ops_a = kraus_1q(spec.kind, damping(spec.rate_a, t))
-    ops_b = kraus_1q(spec.kind, damping(spec.rate_b, t))
+    ops_a, ops_b = (kraus_1q(spec.kind, gamma) for gamma in _time_factors(spec, t))
     return [np.kron(ka, kb) for ka in ops_a for kb in ops_b]
 
 

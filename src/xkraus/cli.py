@@ -346,15 +346,30 @@ def cmd_sweep(values: dict[str, Any]) -> int:
     )
 
 
-def _esd_doc(result: EsdResult | None, rate_ref: float) -> dict[str, Any] | None:
+def _analytic_fate(
+    family: str, fidelity: float | None, spec: ChannelSpec, horizon: float
+) -> EsdResult | None:
+    """The paper's closed-form fate where one applies: a Werner start at
+    equal rates, werner-psi under phase noise or werner-phi under amplitude
+    noise with 1/2 < F < 1; None elsewhere."""
+    if fidelity is None or spec.rate_a != spec.rate_b:
+        return None
+    if spec.kind == "phase" and family == "werner-psi":
+        return esd_time_phase_werner(fidelity, horizon=horizon)
+    if spec.kind == "amplitude" and family == "werner-phi" and 0.5 < fidelity < 1.0:
+        return esd_time_amplitude_phi_werner(fidelity)
+    return None
+
+
+def _esd_doc(result: EsdResult | None) -> dict[str, Any] | None:
     if result is None:
         return None
     if result.status == DIES:
-        return {"status": DIES, "tau": result.time * rate_ref}
+        return {"status": DIES, "tau": result.time}
     if result.status == ALIVE:
         return {
             "status": ALIVE,
-            "horizon_tau": result.horizon * rate_ref,
+            "horizon_tau": result.horizon,
             "concurrence_at_horizon": result.c_final,
         }
     return {"status": result.status}
@@ -378,16 +393,8 @@ def cmd_esd(values: dict[str, Any]) -> int:
     state, fid = _initial_state(values)
     horizon = values["horizon"]
     tol = values["tol"]
-    rate_ref = max(spec.rate_a, spec.rate_b)
-    numeric = esd_time_numeric(state, spec, horizon=horizon, tol=tol)
-    analytic = None
-    if fid is not None and spec.rate_a == spec.rate_b:
-        if spec.kind == "phase" and values["family"] == "werner-psi":
-            analytic = esd_time_phase_werner(fid, rate=spec.rate_a, horizon=horizon)
-        elif spec.kind == "amplitude" and values["family"] == "werner-phi" and 0.5 < fid < 1.0:
-            analytic = esd_time_amplitude_phi_werner(fid, rate=spec.rate_a)
-    numeric_doc = _esd_doc(numeric, rate_ref)
-    analytic_doc = _esd_doc(analytic, rate_ref)
+    numeric_doc = _esd_doc(esd_time_numeric(state, spec, horizon=horizon, tol=tol))
+    analytic_doc = _esd_doc(_analytic_fate(values["family"], fid, spec, horizon))
     difference = None
     if analytic_doc and analytic_doc["status"] == DIES and numeric_doc["status"] == DIES:
         difference = abs(analytic_doc["tau"] - numeric_doc["tau"])
@@ -454,11 +461,9 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> int:
     c0_phi = concurrence_x(phi)
     mismatch = inf_norm_diff(apply_local_unitary(to_dense(psi), flip_a_unitary()), to_dense(phi))
     spec = ChannelSpec("amplitude")
-    fate_psi = _esd_doc(esd_time_numeric(psi, spec, horizon=horizon, tol=tol), 1.0)
-    fate_phi = _esd_doc(esd_time_numeric(phi, spec, horizon=horizon, tol=tol), 1.0)
-    analytic_phi = _esd_doc(
-        esd_time_amplitude_phi_werner(fid) if 0.5 < fid < 1.0 else None, 1.0
-    )
+    fate_psi = _esd_doc(esd_time_numeric(psi, spec, horizon=horizon, tol=tol))
+    fate_phi = _esd_doc(esd_time_numeric(phi, spec, horizon=horizon, tol=tol))
+    analytic_phi = _esd_doc(_analytic_fate("werner-phi", fid, spec, horizon))
     doc = _meta(
         "demo-local-ops", values,
         fidelity=fid, initial_concurrence_psi=c0_psi, initial_concurrence_phi=c0_phi,

@@ -11,16 +11,18 @@ against each other in the tests.
 Although every matrix element decays smoothly under the noise channels,
 concurrence can hit zero at a finite time and stay there; local channels
 cannot recreate entanglement, so the searches below need only an exact sign
-test, on an expansion that neither cancels nor underflows (_Expansion).
-Search horizons and tolerances are given in the dimensionless product
-rate * t; times stored in results are physical, so the two coincide at the
-default rate 1.
+test, on an expansion that neither cancels nor underflows (_Expansion), and
+one bisection (_bisect).  Every time here (horizons, time tolerances and
+results) is the dimensionless tau = rate_ref * t, with rate_ref the larger
+of the two channel rates.  The paper states its death times in the same
+unit, so no result is scaled by rate_ref.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,8 +117,8 @@ class EsdResult:
     status is "dies" (concurrence reaches zero at .time), "alive" (still
     entangled at .horizon, where the concurrence is .c_final; 0.0 there
     means positive but below the float64 range), or "separable" (no
-    entanglement already at t = 0).  Stored times are
-    physical; multiply by the channel rate for the dimensionless product.
+    entanglement already at t = 0).  Times are tau = rate_ref * t; divide
+    by the larger channel rate for the physical time.
     """
 
     status: str
@@ -141,38 +143,50 @@ class EsdResult:
         return cls(status=SEPARABLE)
 
 
-def _check_search_params(rate: float, horizon: float) -> None:
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be finite and positive, got {rate}")
-    if not (isinstance(horizon, (int, float)) and math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+def _check_positive(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def esd_time_phase_werner(
-    fidelity: float, rate: float = 1.0, horizon: float = _DEFAULT_HORIZON
-) -> EsdResult:
-    """Death time of werner_psi(fidelity) under dephasing of both qubits.
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi], where holds(lo) and not holds(hi), after
+    halving it down to width tol, or to adjacent floats where their spacing
+    exceeds tol."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
-    The coherence decays as exp(-rate * t) against a static separability
+
+def esd_time_phase_werner(fidelity: float, *, horizon: float = _DEFAULT_HORIZON) -> EsdResult:
+    """Death time of werner_psi(fidelity) under equal-rate dephasing of both
+    qubits.
+
+    The coherence decays as exp(-tau) against a static separability
     threshold, so for 1/2 < fidelity < 1 entanglement vanishes at
-    rate * t = ln((4F - 1) / (2 - 2F)).  At or below F = 1/2 the state
-    starts separable.  At F = 1 it stays entangled forever and the result
-    reports survival at the caller's horizon.
+    tau = ln((4F - 1) / (2 - 2F)).  At or below F = 1/2 the state starts
+    separable.  At F = 1 it stays entangled forever and the result reports
+    survival at the caller's horizon.
     """
     f = _check_fidelity(fidelity)
-    _check_search_params(rate, horizon)
+    _check_positive("horizon", horizon)
     if f <= 0.5:
         return EsdResult.initially_separable()
     if f == 1.0:
-        return EsdResult.alive_at_horizon(horizon / rate, math.exp(-horizon))
-    return EsdResult.dies(math.log((4.0 * f - 1.0) / (2.0 - 2.0 * f)) / rate)
+        return EsdResult.alive_at_horizon(horizon, math.exp(-horizon))
+    return EsdResult.dies(math.log((4.0 * f - 1.0) / (2.0 - 2.0 * f)))
 
 
-def esd_time_amplitude_phi_werner(fidelity: float, rate: float = 1.0) -> EsdResult:
-    """Death time of werner_phi(fidelity) under two-sided amplitude decay.
+def esd_time_amplitude_phi_werner(fidelity: float) -> EsdResult:
+    """Death time of werner_phi(fidelity) under equal-rate amplitude decay
+    of both qubits.
 
     Valid for 1/2 < fidelity < 1, where the state dies at
-    rate * t = ln((2F + 1) / (4 - 4F)).  The time grows without bound as F
+    tau = ln((2F + 1) / (4 - 4F)).  The time grows without bound as F
     approaches 1; the endpoints are outside this formula's domain.
     """
     if not (
@@ -181,9 +195,7 @@ def esd_time_amplitude_phi_werner(fidelity: float, rate: float = 1.0) -> EsdResu
         and 0.5 < fidelity < 1.0
     ):
         raise ValueError(f"fidelity must lie strictly between 1/2 and 1, got {fidelity}")
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be finite and positive, got {rate}")
-    return EsdResult.dies(math.log((2.0 * fidelity + 1.0) / (4.0 - 4.0 * fidelity)) / rate)
+    return EsdResult.dies(math.log((2.0 * fidelity + 1.0) / (4.0 - 4.0 * fidelity)))
 
 
 class _Expansion:
@@ -260,35 +272,23 @@ def esd_time_numeric(
     """Locate the concurrence zero of an evolving X state.
 
     Entanglement, once lost, never returns under local channels, so one
-    exact sign test at the horizon (units of the larger channel rate times
-    t) decides the fate: a state still entangled there is reported alive
-    with its concurrence, computed without cancellation; otherwise
-    [0, horizon] is bisected down to tol, or to adjacent floats where their
-    spacing exceeds tol.  The same path serves every channel kind and rate
-    pair, including a zero rate.  A state with zero initial concurrence is
-    reported separable outright.
+    exact sign test at the horizon decides the fate: a state still
+    entangled there is reported alive with its concurrence, computed
+    without cancellation; otherwise [0, horizon] is bisected (_bisect).
+    The horizon, tol and the result are all in tau.  The same path serves
+    every channel kind and rate pair, including a zero rate.  A state with
+    zero initial concurrence is reported separable outright.
     """
-    if not (isinstance(horizon, (int, float)) and math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    rate_ref = max(spec.rate_a, spec.rate_b)
-    if rate_ref <= 0.0:
+    _check_positive("horizon", horizon)
+    _check_positive("tol", tol)
+    if max(spec.rate_a, spec.rate_b) <= 0.0:
         raise ValueError("at least one channel rate must be positive")
     if concurrence_x(state) <= 0.0:
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
     if expansion.entangled(horizon):
-        return EsdResult.alive_at_horizon(horizon / rate_ref, expansion.concurrence(horizon))
-    lo, hi = 0.0, float(horizon)
-    mid = 0.5 * hi
-    while hi - lo > tol and lo < mid < hi:
-        if expansion.entangled(mid):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return EsdResult.dies(mid / rate_ref)
+        return EsdResult.alive_at_horizon(horizon, expansion.concurrence(horizon))
+    return EsdResult.dies(_bisect(expansion.entangled, 0.0, float(horizon), tol))
 
 
 def critical_fidelity_amplitude() -> float:
@@ -302,21 +302,19 @@ def critical_fidelity_amplitude() -> float:
     return (3.0 * math.sqrt(5.0) - 1.0) / 8.0
 
 
-def critical_fidelity_numeric(
-    horizon: float = _DEFAULT_HORIZON, f_tol: float = 1e-10, rate: float = 1.0
-) -> float:
+def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = 1e-10) -> float:
     """Locate the survival boundary by bisecting the fidelity axis.
 
     Each probe classifies werner_psi(F) under equal-rate amplitude noise
     by one exact sign test: separable at the horizon means it died within
-    it.  A finite horizon classifies very slow deaths as survival, which
-    biases the returned boundary slightly below the analytic value; at
-    horizon 60 the bias is far below f_tol.
+    it.  A finite horizon (in tau) classifies very slow deaths as survival,
+    which biases the returned boundary slightly below the analytic value;
+    at horizon 60 the bias is far below f_tol.  The bracket is bisected
+    like a death time (_bisect).
     """
-    if not (isinstance(f_tol, (int, float)) and math.isfinite(f_tol) and f_tol > 0.0):
-        raise ValueError(f"f_tol must be finite and positive, got {f_tol}")
-    _check_search_params(rate, horizon)
-    spec = ChannelSpec("amplitude", rate, rate)
+    _check_positive("f_tol", f_tol)
+    _check_positive("horizon", horizon)
+    spec = ChannelSpec("amplitude")
 
     def dies(f: float) -> bool:
         return not _Expansion(werner_psi(f), spec).entangled(horizon)
@@ -327,10 +325,4 @@ def critical_fidelity_numeric(
             f"fidelity bracket [{lo}, {hi}] failed to classify as die/survive "
             f"at horizon {horizon}"
         )
-    while hi - lo > f_tol:
-        mid = 0.5 * (lo + hi)
-        if dies(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(dies, lo, hi, f_tol)

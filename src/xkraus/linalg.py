@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "NumericalFailureError",
     "IDENTITY_2",
-    "IDENTITY_4",
     "PAULI_X",
     "PAULI_Y",
     "inf_norm_diff",
@@ -25,7 +24,6 @@ class NumericalFailureError(RuntimeError):
 
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 

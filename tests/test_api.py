@@ -1,0 +1,19 @@
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import xkraus
+
+MODULES = ["xkraus"] + [f"xkraus.{info.name}" for info in pkgutil.iter_modules(xkraus.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # bench/tracer.py looks up every name in each module's __all__, so a
+    # stale entry breaks tracing as well as star imports
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -8,9 +8,9 @@ import pytest
 from xkraus.channels import (
     CHANNEL_KINDS,
     ChannelSpec,
+    _time_factors,
     apply,
     check_cptp,
-    damping,
     kraus_1q,
     kraus_set,
     propagate_x,
@@ -23,33 +23,36 @@ BELL_W = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
 
 
 def test_damping_frozen_point():
-    factors = damping(1.0, 2.0 * math.log(2.0))
-    assert abs(factors.gamma - 0.5) < 1e-15
-    assert abs(factors.omega - math.sqrt(0.75)) < 1e-15
+    gamma_a, gamma_b = _time_factors(ChannelSpec("phase", 1.0, 2.0), 2.0 * math.log(2.0))
+    assert abs(gamma_a - 0.5) < 1e-15
+    assert abs(gamma_b - 0.25) < 1e-15
+    # omega = sqrt(1 - gamma^2) = sqrt(3/4) sits in the phase set's second operator
+    assert abs(kraus_1q("phase", gamma_a)[1][0, 0] - math.sqrt(0.75)) < 1e-15
 
 
 def test_damping_at_zero_time_is_identity():
     for rate in (0.0, 0.5, 2.0):
-        factors = damping(rate, 0.0)
-        assert factors.gamma == 1.0
-        assert factors.omega == 0.0
+        assert _time_factors(ChannelSpec("amplitude", rate, rate), 0.0) == (1.0, 1.0)
+    # gamma = 1 gives omega = 0: every phase and transfer operator vanishes
+    for kind in CHANNEL_KINDS:
+        assert not any(np.any(k) for k in kraus_1q(kind, 1.0)[1::2])
 
 
 def test_damping_zero_rate_never_decays():
-    factors = damping(0.0, 100.0)
-    assert factors.gamma == 1.0
-    assert factors.omega == 0.0
+    assert _time_factors(ChannelSpec("amplitude", 0.0, 0.0), 100.0) == (1.0, 1.0)
+    rho = to_dense(random_x_state(np.random.default_rng(95)))
+    for kind in CHANNEL_KINDS:
+        out = apply(rho, kraus_set(ChannelSpec(kind, 0.0, 0.0), 100.0))
+        assert inf_norm_diff(out, rho) <= 1e-15
 
 
 def test_damping_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        damping(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        damping(1.0, -1.0)
-    with pytest.raises(ValueError):
-        damping(math.nan, 1.0)
-    with pytest.raises(ValueError):
-        damping(1.0, math.inf)
+    # bad rates are rejected by ChannelSpec (test_channel_spec_validation)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            _time_factors(ChannelSpec("phase"), bad)
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            kraus_set(ChannelSpec("phase"), bad)
 
 
 def test_channel_spec_validation():
@@ -77,7 +80,7 @@ def test_kraus_sets_are_trace_preserving():
 
 def test_equalizing_single_qubit_completeness():
     for t in (0.0, 0.3, 2.0):
-        ops = kraus_1q("equalizing", damping(1.0, t))
+        ops = kraus_1q("equalizing", math.exp(-0.5 * t))
         assert len(ops) == 4
         acc = sum(k.conj().T @ k for k in ops)
         assert inf_norm_diff(acc, IDENTITY_2) <= 1e-15
@@ -159,22 +162,10 @@ def test_propagate_x_matches_kraus_sum():
         specs = [ChannelSpec(kind, rate_a=float(rng.uniform(0.0, 2.0)),
                              rate_b=float(rng.uniform(0.0, 2.0))) for _ in range(100)]
         specs += [ChannelSpec(kind), ChannelSpec(kind, rate_a=0.0, rate_b=1.3)]
+        specs += [ChannelSpec(kind, rate_a=1.0, rate_b=0.3)] * 25
         for spec in specs:
             state = random_x_state(rng)
             t = float(rng.uniform(0.0, 8.0))
-            fast = to_dense(propagate_x(state, spec, t))
-            slow = apply(to_dense(state), kraus_set(spec, t))
-            assert inf_norm_diff(fast, slow) <= 1e-12
-
-
-def test_propagate_x_unequal_rates_fall_back_to_kraus_sum():
-    # the closed form at unequal rates lands on the dense Kraus sum
-    rng = np.random.default_rng(92)
-    for kind in ("amplitude", "equalizing"):
-        spec = ChannelSpec(kind, rate_a=1.0, rate_b=0.3)
-        for _ in range(25):
-            state = random_x_state(rng)
-            t = float(rng.uniform(0.0, 5.0))
             fast = to_dense(propagate_x(state, spec, t))
             slow = apply(to_dense(state), kraus_set(spec, t))
             assert inf_norm_diff(fast, slow) <= 1e-12

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import xkraus
 from xkraus import ChannelSpec, XState, __version__, concurrence_x, propagate_x, werner_phi, werner_psi
 from xkraus.cli import main
 
@@ -370,6 +374,55 @@ def test_esd_survivor_concurrence_has_no_cancellation(capsys):
     exact = 2.0 * math.exp(-400.0) * ((4.0 * f - 1.0) / 6.0 - math.sqrt((1.0 - f) / 3.0))
     c = json.loads(out)["numeric"]["concurrence_at_horizon"]
     assert c == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+
+def test_esd_survival_horizon_stays_finite_at_tiny_rates(capsys):
+    # results are tau = rate_ref * t; dividing the horizon by rate_ref and
+    # multiplying it back once printed Infinity
+    code, out, _ = run(
+        capsys, "esd", "--channel", "amplitude", "--fidelity", "0.9", "--rate-a", "1e-300",
+        "--rate-b", "1e-300", "--horizon", "1e10", "--format", "json",
+    )
+    assert code == 0
+    assert "Infinity" not in out
+    assert json.loads(out)["numeric"]["horizon_tau"] == 1e10
+
+
+def test_esd_death_time_stays_finite_at_subnormal_rates(capsys):
+    # ln(2.6 / 0.8) / 1e-310 overflowed: exit 2, "death time must be finite"
+    code, out, err = run(
+        capsys, "esd", "--channel", "amplitude", "--family", "werner-phi", "--fidelity", "0.8",
+        "--rate-a", "1e-310", "--rate-b", "1e-310",
+    )
+    assert (code, err) == (0, "")
+    assert "analytic: dies at tau = 1.17865499634\n" in out
+    assert "numeric (horizon tau=60, tol=1e-10): dies at tau = 1.1786549963" in out
+
+
+def test_esd_survival_echoes_the_exact_horizon(capsys):
+    # 60 / rate_ref * rate_ref came back as 60.00000000000001
+    code, out, _ = run(
+        capsys, "esd", "--channel", "amplitude", "--fidelity", "0.7909436339513474",
+        "--rate-a", "1.6872385926238251", "--rate-b", "0.6048369656328783", "--format", "json",
+    )
+    assert code == 0
+    numeric = json.loads(out)["numeric"]
+    assert numeric["status"] == "alive"
+    assert numeric["horizon_tau"] == 60.0
+    assert '"horizon_tau": 60.0,' in out
+
+
+def test_critical_fidelity_below_float_spacing_returns():
+    # a tolerance below the float spacing near F_c once looped forever; a
+    # child process with a timeout turns a hang into a failure
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xkraus.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "xkraus", "critical-fidelity", "--tol", "1e-17", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert abs(doc["numeric"] - doc["analytic"]) < 1e-15
 
 
 def test_critical_fidelity_reports(capsys):

@@ -114,8 +114,9 @@ def test_esd_result_constructors():
 def test_phase_werner_death_time_frozen_points():
     assert abs(esd_time_phase_werner(0.8).time - LN_5_5) <= 1e-12
     assert abs(esd_time_phase_werner(0.6).time - LN_1_75) <= 1e-12
-    # doubling the rate halves the physical death time
-    assert abs(esd_time_phase_werner(0.8, rate=2.0).time - LN_5_5 / 2.0) <= 1e-12
+    # the horizon is keyword-only, so a stray second argument cannot become one
+    with pytest.raises(TypeError):
+        esd_time_phase_werner(0.8, 2.0)
 
 
 def test_phase_werner_edge_cases():
@@ -130,15 +131,12 @@ def test_phase_werner_edge_cases():
 def test_amplitude_phi_werner_death_time_frozen_points():
     assert abs(esd_time_amplitude_phi_werner(0.8).time - LN_3_25) <= 1e-12
     assert abs(esd_time_amplitude_phi_werner(0.6).time - LN_1_375) <= 1e-12
-    assert abs(esd_time_amplitude_phi_werner(0.8, rate=4.0).time - LN_3_25 / 4.0) <= 1e-12
 
 
 def test_amplitude_phi_werner_rejects_boundary_fidelities():
     for bad in (0.5, 1.0, 0.25, 1.1):
         with pytest.raises(ValueError):
             esd_time_amplitude_phi_werner(bad)
-    with pytest.raises(ValueError):
-        esd_time_amplitude_phi_werner(0.8, rate=0.0)
 
 
 def test_numeric_search_matches_phase_analytic():
@@ -209,12 +207,21 @@ def test_paper_closed_forms_hold_at_every_horizon():
         assert above.status == ALIVE and above.horizon == horizon
 
 
-def test_numeric_search_reports_physical_time():
-    result = esd_time_numeric(werner_psi(0.8), ChannelSpec("phase", 2.0, 2.0))
-    assert abs(result.time - LN_5_5 / 2.0) <= 1e-8
-    # one silent qubit: the coherence still decays through the active one
+def test_numeric_search_reports_tau():
+    # tau = rate_ref * t with rate_ref the larger rate: equal rates of any
+    # size give the paper's tau, and the horizon comes back as given
+    for rate in (2.0, 0.3, 1e-300, 1e-310):
+        spec = ChannelSpec("phase", rate, rate)
+        assert abs(esd_time_numeric(werner_psi(0.8), spec).time - LN_5_5) <= 1e-8
+        survivor = esd_time_numeric(werner_phi(1.0), ChannelSpec("amplitude", rate, rate), horizon=1e10)
+        assert survivor.status == ALIVE and survivor.horizon == 1e10
+    # one silent qubit: the coherence decays through the active one alone,
+    # as exp(-tau / 2), so death comes at twice the paper's tau
     result = esd_time_numeric(werner_psi(0.8), ChannelSpec("phase", 2.0, 0.0))
-    assert abs(result.time - LN_5_5) <= 1e-8
+    assert abs(result.time - 2.0 * LN_5_5) <= 1e-8
+    spec = ChannelSpec("amplitude", 1.6872385926238251, 0.6048369656328783)
+    result = esd_time_numeric(werner_psi(0.7909436339513474), spec)
+    assert result.status == ALIVE and result.horizon == 60.0
 
 
 def test_numeric_search_resolves_a_slow_death():
