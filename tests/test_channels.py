@@ -162,10 +162,22 @@ def test_propagate_x_matches_kraus_sum():
         specs = [ChannelSpec(kind, rate_a=float(rng.uniform(0.0, 2.0)),
                              rate_b=float(rng.uniform(0.0, 2.0))) for _ in range(100)]
         specs += [ChannelSpec(kind), ChannelSpec(kind, rate_a=0.0, rate_b=1.3)]
-        specs += [ChannelSpec(kind, rate_a=1.0, rate_b=0.3)] * 25
         for spec in specs:
             state = random_x_state(rng)
             t = float(rng.uniform(0.0, 8.0))
+            fast = to_dense(propagate_x(state, spec, t))
+            slow = apply(to_dense(state), kraus_set(spec, t))
+            assert inf_norm_diff(fast, slow) <= 1e-12
+
+
+def test_propagate_x_unequal_rates_fall_back_to_kraus_sum():
+    # the closed form at unequal rates lands on the dense Kraus sum
+    rng = np.random.default_rng(92)
+    for kind in ("amplitude", "equalizing"):
+        spec = ChannelSpec(kind, rate_a=1.0, rate_b=0.3)
+        for _ in range(25):
+            state = random_x_state(rng)
+            t = float(rng.uniform(0.0, 5.0))
             fast = to_dense(propagate_x(state, spec, t))
             slow = apply(to_dense(state), kraus_set(spec, t))
             assert inf_norm_diff(fast, slow) <= 1e-12
