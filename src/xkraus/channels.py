@@ -12,6 +12,12 @@ omega = sqrt(1 - gamma^2):
                   toward 1/2, so every input is driven to the maximally
                   mixed state.
 
+The searches and the CLI's grids work in the paper's dimensionless time
+tau = rate_ref * t, rate_ref the larger of the two rates: ``_tau_spec``
+divides both rates by rate_ref, so that its spec's time is tau and its
+gammas are exp(-(rate / rate_ref) * tau / 2), exactly exp(-tau / 2) at
+equal rates.
+
 ``propagate_x`` evolves X states with one closed-form rule for every kind
 and rate pair: each qubit's populations pass through a 2x2 stochastic map
 and both coherences shrink by gamma_A * gamma_B.  The rule is one kernel,
@@ -32,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import inf_norm_diff
-from .states import OFF_X_POSITIONS, XState
+from .states import XState, _check_number
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -42,7 +48,6 @@ __all__ = [
     "check_cptp",
     "apply",
     "propagate_x",
-    "x_form_residual",
 ]
 
 CHANNEL_KINDS = ("phase", "amplitude", "equalizing")
@@ -63,9 +68,17 @@ class ChannelSpec:
             raise ValueError(
                 f"unknown channel kind {self.kind!r}; expected one of {list(CHANNEL_KINDS)}"
             )
-        for name, rate in (("rate_a", self.rate_a), ("rate_b", self.rate_b)):
-            if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
+        _check_number("rate_a", self.rate_a)
+        _check_number("rate_b", self.rate_b)
+
+
+def _tau_spec(spec: ChannelSpec) -> ChannelSpec:
+    """The spec with both rates divided by the larger one, rate_ref, so that
+    its time is tau = rate_ref * t.  Raises ValueError if both rates are 0."""
+    rate_ref = max(spec.rate_a, spec.rate_b)
+    if rate_ref <= 0.0:
+        raise ValueError("at least one channel rate must be positive")
+    return ChannelSpec(spec.kind, spec.rate_a / rate_ref, spec.rate_b / rate_ref)
 
 
 def kraus_1q(kind: str, gamma: float) -> list[np.ndarray]:
@@ -151,8 +164,7 @@ def _population_map(kind: str, gamma):
 def _time_factors(spec: ChannelSpec, t: float) -> tuple[float, float]:
     """gamma_A, gamma_B = exp(-rate * t / 2) after time t, which must be
     finite and >= 0; the rates were checked by ChannelSpec."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
+    _check_number("time", t)
     return math.exp(-0.5 * spec.rate_a * t), math.exp(-0.5 * spec.rate_b * t)
 
 
@@ -193,9 +205,3 @@ def propagate_x(state: XState, spec: ChannelSpec, t: float) -> XState:
     return XState(*_evolve_x(
         spec.kind, gamma_a, gamma_b, state.a, state.b, state.c, state.d, state.z, state.w
     ))
-
-
-def x_form_residual(rho: np.ndarray) -> float:
-    """Largest magnitude outside the diagonal and anti-diagonal positions."""
-    rho = np.asarray(rho, dtype=complex)
-    return max(abs(complex(rho[i, j])) for i, j in OFF_X_POSITIONS)

@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .channels import CHANNEL_KINDS, ChannelSpec, _evolve_x, _time_factors
+from .channels import CHANNEL_KINDS, ChannelSpec, _evolve_x, _tau_spec, _time_factors
 from .entanglement import (
     ALIVE,
     DIES,
@@ -275,13 +275,14 @@ def _grid(
 
     The starts were checked when built.  One broadcast call of the
     propagate_x kernel evolves them all, with per-tau factors from
-    propagate_x's own math.exp, so every number rounds as in the float rule;
+    propagate_x's own math.exp, taken in tau units from the relative rates
+    of _tau_spec, so every number rounds as in the float rule at time tau;
     np.hypot of a coherence equals abs() of the complex.  Every evolved state
     passes the XState check before output starts, one chunk per start.
     """
-    rate_ref = max(spec.rate_a, spec.rate_b)
+    tau_spec = _tau_spec(spec)
     taus = np.linspace(0.0, tau_end, values["steps"]).tolist()
-    gamma_a, gamma_b = np.array([_time_factors(spec, tau / rate_ref) for tau in taus]).T
+    gamma_a, gamma_b = np.array([_time_factors(tau_spec, tau) for tau in taus]).T
     columns = (np.array([[getattr(s, key)] for _, s in starts]) for key in "abcdzw")
     a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *columns)
     abs_z, abs_w = np.hypot(z.real, z.imag), np.hypot(w.real, w.imag)

@@ -26,12 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelSpec, _population_map
-# not called here; bench/test_bench.py checks that its tracer patches this
-# imported name
-from .channels import propagate_x  # noqa: F401
+from .channels import ChannelSpec, _population_map, _tau_spec
 from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff
-from .states import XState, _check_fidelity, werner_psi
+from .states import XState, _check_fidelity, _check_number, werner_psi
 
 __all__ = [
     "DIES",
@@ -128,8 +125,7 @@ class EsdResult:
 
     @classmethod
     def dies(cls, time: float) -> "EsdResult":
-        if not (math.isfinite(time) and time >= 0.0):
-            raise ValueError(f"death time must be finite and >= 0, got {time}")
+        _check_number("death time", time)
         return cls(status=DIES, time=float(time))
 
     @classmethod
@@ -141,11 +137,6 @@ class EsdResult:
     @classmethod
     def initially_separable(cls) -> "EsdResult":
         return cls(status=SEPARABLE)
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
@@ -173,7 +164,7 @@ def esd_time_phase_werner(fidelity: float, *, horizon: float = _DEFAULT_HORIZON)
     survival at the caller's horizon.
     """
     f = _check_fidelity(fidelity)
-    _check_positive("horizon", horizon)
+    _check_number("horizon", horizon, positive=True)
     if f <= 0.5:
         return EsdResult.initially_separable()
     if f == 1.0:
@@ -206,15 +197,15 @@ class _Expansion:
     in (1, x_A) x (1, x_B), and both coherences scale as x_A x_B.  Each
     branch's squared margin, |z|^2 x_A x_B - a'd' or |w|^2 x_A x_B - b'c',
     has the sign of the branch and is a polynomial of degree <= 2 in each x:
-    a sum of c_k exp(-e_k tau) with x = exp(-tau * rate / rate_ref).  Terms
+    a sum of c_k exp(-e_k tau) with x = exp(-tau * rate / rate_ref), the
+    rates of spec being relative to rate_ref already (_tau_spec).  Terms
     of equal exponent are merged, so leading terms cancel exactly in the
     coefficients, and the exponents are shifted so that the slowest
     surviving term is constant: no evaluation underflows to a false zero.
     """
 
     def __init__(self, state: XState, spec: ChannelSpec) -> None:
-        rate_ref = max(spec.rate_a, spec.rate_b)
-        alpha, beta = spec.rate_a / rate_ref, spec.rate_b / rate_ref
+        alpha, beta = spec.rate_a, spec.rate_b
         self.decay = alpha + beta  # x_A x_B = exp(-decay * tau)
         t0 = np.reshape(_population_map(spec.kind, 0.0), (2, 2))
         maps = np.stack([t0, np.reshape(_population_map(spec.kind, 1.0), (2, 2)) - t0])
@@ -279,10 +270,9 @@ def esd_time_numeric(
     every channel kind and rate pair, including a zero rate.  A state with
     zero initial concurrence is reported separable outright.
     """
-    _check_positive("horizon", horizon)
-    _check_positive("tol", tol)
-    if max(spec.rate_a, spec.rate_b) <= 0.0:
-        raise ValueError("at least one channel rate must be positive")
+    _check_number("horizon", horizon, positive=True)
+    _check_number("tol", tol, positive=True)
+    spec = _tau_spec(spec)
     if concurrence_x(state) <= 0.0:
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
@@ -312,9 +302,9 @@ def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = 
     at horizon 60 the bias is far below f_tol.  The bracket is bisected
     like a death time (_bisect).
     """
-    _check_positive("f_tol", f_tol)
-    _check_positive("horizon", horizon)
-    spec = ChannelSpec("amplitude")
+    _check_number("f_tol", f_tol, positive=True)
+    _check_number("horizon", horizon, positive=True)
+    spec = ChannelSpec("amplitude")  # equal rates 1: its time is already tau
 
     def dies(f: float) -> bool:
         return not _Expansion(werner_psi(f), spec).entangled(horizon)

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "NumericalFailureError",
-    "IDENTITY_2",
-    "PAULI_X",
-    "PAULI_Y",
-    "inf_norm_diff",
-]
+__all__ = ["NumericalFailureError", "inf_norm_diff"]
 
 
 class NumericalFailureError(RuntimeError):

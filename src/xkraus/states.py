@@ -22,12 +22,11 @@ __all__ = [
     "NotXStateError",
     "XState",
     "LocalUnitary",
-    "X_POSITIONS",
-    "OFF_X_POSITIONS",
     "werner_psi",
     "werner_phi",
     "to_dense",
     "from_dense",
+    "x_form_residual",
     "apply_local_unitary",
     "flip_a_unitary",
     "random_x_state",
@@ -43,6 +42,12 @@ X_POSITIONS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2), (2, 1), (3, 0))
 OFF_X_POSITIONS = tuple(
     (i, j) for i in range(4) for j in range(4) if (i, j) not in X_POSITIONS
 )
+
+
+def x_form_residual(rho: np.ndarray) -> float:
+    """Largest magnitude outside the diagonal and anti-diagonal positions."""
+    rho = np.asarray(rho, dtype=complex)
+    return max(abs(complex(rho[i, j])) for i, j in OFF_X_POSITIONS)
 
 
 class NotXStateError(ValueError):
@@ -125,6 +130,18 @@ def _check_x(a, b, c, d, abs_z, abs_w) -> None:
             raise ValueError(message.format(low=min(a, b, c, d), total=a + b + c + d))
 
 
+def _check_number(name: str, value: float, *, positive: bool = False) -> None:
+    """Raise ValueError unless value is a finite int or float that is >= 0,
+    or > 0 if positive."""
+    if not (
+        isinstance(value, (int, float))
+        and math.isfinite(value)
+        and (value > 0.0 if positive else value >= 0.0)
+    ):
+        rule = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {rule}, got {value}")
+
+
 def _check_fidelity(fidelity: float) -> float:
     if not (isinstance(fidelity, (int, float)) and math.isfinite(fidelity)):
         raise ValueError("fidelity must be a finite number")
@@ -149,13 +166,11 @@ def werner_psi(fidelity: float) -> XState:
 def werner_phi(fidelity: float) -> XState:
     """Werner mixture of the Bell state (|++> - |-->)/sqrt(2).
 
-    Same weights as werner_psi with the inner and outer 2x2 blocks
-    exchanged; the coherence sits at w instead of z.
+    werner_psi with the inner and outer 2x2 blocks exchanged (a<->b,
+    c<->d, z<->w); the coherence sits at w instead of z.
     """
-    f = _check_fidelity(fidelity)
-    edge = (1.0 - f) / 3.0
-    mid = (2.0 * f + 1.0) / 6.0
-    return XState(a=mid, b=edge, c=edge, d=mid, z=0.0j, w=complex((1.0 - 4.0 * f) / 6.0))
+    psi = werner_psi(fidelity)
+    return XState(a=psi.b, b=psi.a, c=psi.d, d=psi.c, z=psi.w, w=psi.z)
 
 
 def to_dense(state: XState) -> np.ndarray:
@@ -181,7 +196,7 @@ def from_dense(rho: np.ndarray, tol: float = 1e-10) -> XState:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    off = max(abs(complex(rho[i, j])) for i, j in OFF_X_POSITIONS)
+    off = x_form_residual(rho)
     if off > tol:
         raise NotXStateError(f"off-X weight {off:.3e} exceeds tol {tol:.3e}")
     diag_imag = max(abs(complex(rho[i, i]).imag) for i in range(4))

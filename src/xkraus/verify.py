@@ -13,7 +13,6 @@ from .channels import (
     check_cptp,
     kraus_set,
     propagate_x,
-    x_form_residual,
 )
 from .entanglement import concurrence_general, concurrence_x
 from .states import (
@@ -23,6 +22,7 @@ from .states import (
     to_dense,
     werner_phi,
     werner_psi,
+    x_form_residual,
 )
 
 __all__ = ["CheckResult", "run_all"]

@@ -17,3 +17,9 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_exports_each_name_once():
+    # xkraus.__all__ joins its modules' lists; a name in two of them would be
+    # shadowed silently by the later star import
+    assert len(xkraus.__all__) == len(set(xkraus.__all__))

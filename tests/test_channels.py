@@ -14,10 +14,9 @@ from xkraus.channels import (
     kraus_1q,
     kraus_set,
     propagate_x,
-    x_form_residual,
 )
 from xkraus.linalg import IDENTITY_2, inf_norm_diff
-from xkraus.states import XState, from_dense, random_x_state, to_dense, werner_psi
+from xkraus.states import XState, from_dense, random_x_state, to_dense, werner_psi, x_form_residual
 
 BELL_W = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
 

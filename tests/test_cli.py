@@ -223,7 +223,6 @@ _GOLDEN = [
 def _reference_grid(command, channel, family, rate_a, rate_b, grid, rate, fmt):
     """The grid text rebuilt row by row from propagate_x and concurrence_x,
     one record dict per row, written by json.dumps or format(x, '.12g')."""
-    spec = ChannelSpec(channel, rate_a, rate_b)
     tau_max, steps = grid["tau_max"], grid["steps"]
     if family == "custom-x":
         p = grid["x_params"]
@@ -242,11 +241,13 @@ def _reference_grid(command, channel, family, rate_a, rate_b, grid, rate, fmt):
                 "tau_grid": {"min": 0.0, "max": tau_max, "steps": steps},
             }
         starts = [(f, build(f)) for f in fids]
+    # the grid's time is tau = rate_ref * t, so propagate_x runs at the relative rates
     rate_ref = max(rate_a, rate_b)
+    tau_spec = ChannelSpec(channel, rate_a / rate_ref, rate_b / rate_ref)
     records = []
     for fid, start in starts:
         for tau in (float(t) for t in np.linspace(0.0, tau_max, steps)):
-            s = propagate_x(start, spec, tau / rate_ref)
+            s = propagate_x(start, tau_spec, tau)
             records.append({
                 "tau": tau, "fidelity": fid, "concurrence": concurrence_x(s),
                 "a": s.a, "b": s.b, "c": s.c, "d": s.d, "abs_z": abs(s.z), "abs_w": abs(s.w),
@@ -288,13 +289,24 @@ def test_grid_output_matches_scalar_reference(tmp_path, capsys, case, fmt):
 def test_failed_grid_leaves_no_out_file(tmp_path, capsys):
     path = tmp_path / "grid.out"
     bad_state = ["--family", "custom-x", "--x-params", "0.25,0.25,0.25,0.25,0.9,0,0,0"]
-    # at this rate every tau > 0 is an infinite time
-    bad_time = ["--fidelity", "0.8", "--rate-a", "1e-320", "--rate-b", "0"]
-    for argv in (bad_state, bad_time):
-        code, out, err = run(capsys, "evolve", "--channel", "amplitude", *argv, "--out", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ")
-        assert not path.exists()
+    code, out, err = run(capsys, "evolve", "--channel", "amplitude", *bad_state, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("channel, tiny, unit", [
+    ("phase", ["--rate-a", "1e-310", "--rate-b", "1e-310"], []),
+    ("phase", ["--rate-a", "1e-300", "--rate-b", "1e-300", "--tau-max", "1e10"], ["--tau-max", "1e10"]),
+    ("amplitude", ["--rate-a", "1e-320", "--rate-b", "0"], ["--rate-a", "1", "--rate-b", "0"]),
+], ids=["equal-1e-310", "equal-1e-300-tau-1e10", "one-zero-1e-320"])
+def test_grid_at_tiny_rates_equals_the_grid_at_their_ratio(capsys, channel, tiny, unit):
+    # a grid depends on the rates only through rate / rate_ref; tau / rate_ref
+    # would be an infinite physical time here
+    argv = ["evolve", "--channel", channel, "--fidelity", "0.8", "--steps", "3"]
+    code, out, err = run(capsys, *argv, *tiny)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv, *unit)[1]
 
 
 def test_sweep_rejects_custom_x_and_bad_range(capsys):

@@ -1,0 +1,89 @@
+"""Fingerprint the CLI's outputs over a fixed command set.
+
+    python tools/golden.py SRC
+
+imports ``xkraus`` from the source directory SRC (say ``src``, or the
+``src`` of another checkout), runs every command in-process through
+``xkraus.cli.main`` and prints one line per command:
+
+    sha256(stdout) sha256(stderr) exit-code argv
+
+The set is the benchmark's command lists (``bench/workloads.py``, both
+workloads, seeds 1-5), ``verify`` in text and JSON, and a list of usage and
+domain errors.  Two checkouts agree where their lines agree:
+
+    diff <(python tools/golden.py old/src) <(python tools/golden.py src)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+SEEDS = range(1, 6)
+
+ERRORS = [
+    [],
+    ["frobnicate"],
+    ["esd"],
+    ["esd", "--channel", "bogus", "--fidelity", "0.8"],
+    ["esd", "--channel", "phase", "--fidelity", "2"],
+    ["esd", "--channel", "phase", "--fidelity", "nan"],
+    ["esd", "--channel", "phase", "--fidelity", "0.8", "--rate-a", "-1"],
+    ["esd", "--channel", "phase", "--fidelity", "0.8", "--rate-a", "0", "--rate-b", "0"],
+    ["esd", "--channel", "phase", "--fidelity", "0.8", "--horizon", "0"],
+    ["esd", "--channel", "phase", "--fidelity", "0.8", "--tol", "inf"],
+    ["esd", "--channel", "phase", "--family", "custom-x"],
+    ["esd", "--channel", "phase", "--family", "custom-x", "--x-params", "1,2,3"],
+    ["esd", "--channel", "phase", "--x-params", "0.25,0.25,0.25,0.25,0,0,0,0"],
+    ["evolve", "--channel", "amplitude", "--fidelity", "0.8", "--steps", "1"],
+    ["evolve", "--channel", "amplitude", "--family", "custom-x",
+     "--x-params", "0.25,0.25,0.25,0.25,0.9,0,0,0"],
+    ["evolve", "--channel", "phase", "--fidelity", "0.8", "--tau-max", "-2"],
+    ["sweep", "--channel", "phase", "--family", "custom-x"],
+    ["sweep", "--channel", "phase", "--fidelity-min", "0.9", "--fidelity-max", "0.6"],
+    ["critical-fidelity", "--horizon", "-1"],
+    ["critical-fidelity", "--horizon", "0.01"],
+    ["demo-local-ops"],
+    ["demo-local-ops", "--fidelity", "0.4"],
+    ["verify", "--trials", "0"],
+    ["verify", "--seed", "x"],
+]
+
+
+def _command_set() -> list[list[str]]:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import WORKLOADS, commands
+
+    argvs = [cmd.argv for w in WORKLOADS for seed in SEEDS for cmd in commands(w, seed)]
+    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + ERRORS
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(src: str) -> int:
+    src_dir = Path(src).resolve()
+    sys.path.insert(0, str(src_dir))
+    from xkraus import cli
+
+    if src_dir not in Path(cli.__file__).resolve().parents:
+        print(f"xkraus was imported from {cli.__file__}, not from {src_dir}", file=sys.stderr)
+        return 2
+    for argv in _command_set():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        print(_digest(out.getvalue()), _digest(err.getvalue()), code, shlex.join(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
