@@ -9,7 +9,8 @@ Subcommands:
     demo-local-ops     same-spectrum pair with opposite fates under decay
     verify             run the library self-checks
 
-``_COMMANDS`` maps each subcommand to its handler, help and ``_Opt`` options.
+``_COMMANDS`` maps each subcommand to its handler, help and ``_Opt`` options;
+``main`` reuses one parser per process, built from it by ``_build_parser``.
 Flag text and ``--config`` values pass the same ``_Opt.parse``; a bad value
 exits 2 with ``error: --flag: <rule>`` or ``error: config key 'key': <rule>``.
 Every command hands ``_emit`` an iterable of text chunks.  The report
@@ -33,6 +34,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator
 
@@ -550,6 +552,7 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xkraus",

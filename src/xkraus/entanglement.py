@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelSpec, _population_map, _tau_spec
+from .channels import CHANNEL_KINDS, ChannelSpec, _population_map, _tau_spec
 from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff
 from .states import XState, _check_fidelity, _check_number, werner_psi
 
@@ -189,43 +190,44 @@ def esd_time_amplitude_phi_werner(fidelity: float) -> EsdResult:
     return EsdResult.dies(math.log((2.0 * fidelity + 1.0) / (4.0 - 4.0 * fidelity)))
 
 
+# [T(0), T(1) - T(0)] per kind as 2x2 maps: the differences of 0, T(0) and T(1)
+_MAPS = {kind: np.diff([[0.0] * 4, _population_map(kind, 0.0), _population_map(kind, 1.0)], axis=0)
+         .reshape(2, 2, 2) for kind in CHANNEL_KINDS}
+
+
 class _Expansion:
     """Both branches of an evolving X state's margin as sums of exponentials.
 
     With x = gamma^2 per qubit, each qubit's population map is
-    T(x) = T(0) + x (T(1) - T(0)), so every evolved population is bilinear
-    in (1, x_A) x (1, x_B), and both coherences scale as x_A x_B.  Each
-    branch's squared margin, |z|^2 x_A x_B - a'd' or |w|^2 x_A x_B - b'c',
-    has the sign of the branch and is a polynomial of degree <= 2 in each x:
-    a sum of c_k exp(-e_k tau) with x = exp(-tau * rate / rate_ref), the
-    rates of spec being relative to rate_ref already (_tau_spec).  Terms
-    of equal exponent are merged, so leading terms cancel exactly in the
-    coefficients, and the exponents are shifted so that the slowest
-    surviving term is constant: no evaluation underflows to a false zero.
+    T(x) = T(0) + x (T(1) - T(0)) (_MAPS keeps both maps per kind), so
+    every evolved population is bilinear in (1, x_A) x (1, x_B), with
+    coefficients from one einsum, and both coherences scale as x_A x_B.
+    Each branch's squared margin, |z|^2 x_A x_B - a'd' or |w|^2 x_A x_B -
+    b'c', has the sign of the branch and is a polynomial of degree <= 2 in
+    each x: a sum of c_k exp(-e_k tau) with x = exp(-tau * rate / rate_ref),
+    the rates of spec being relative to rate_ref already (_tau_spec).  Float
+    loops (rounding as numpy float64 does) form and merge its coefficients,
+    so leading terms cancel exactly, and shift the exponents so that the
+    slowest surviving term is constant: nothing underflows to a false zero.
     """
 
     def __init__(self, state: XState, spec: ChannelSpec) -> None:
         alpha, beta = spec.rate_a, spec.rate_b
         self.decay = alpha + beta  # x_A x_B = exp(-decay * tau)
-        t0 = np.reshape(_population_map(spec.kind, 0.0), (2, 2))
-        maps = np.stack([t0, np.reshape(_population_map(spec.kind, 1.0), (2, 2)) - t0])
-        pops = np.array([[state.a, state.b], [state.c, state.d]])
-        # poly[i, j, r, s]: coefficient of x_A^i x_B^j in the population at row r, column s
-        poly = np.einsum("irb,bc,jsc->ijrs", maps, pops, maps)
+        maps, pops = _MAPS[spec.kind], [[state.a, state.b], [state.c, state.d]]
+        # poly[i][j][r][s]: coefficient of x_A^i x_B^j in the population at row r, column s
+        poly = np.einsum("irb,bc,jsc->ijrs", maps, pops, maps).tolist()
         self.branches = []
-        for coh, p, q in (
-            (abs(state.z), poly[:, :, 0, 0], poly[:, :, 1, 1]),
-            (abs(state.w), poly[:, :, 0, 1], poly[:, :, 1, 0]),
-        ):
-            coef = np.zeros((3, 3))
-            for (i, j), pij in np.ndenumerate(p):
-                coef[i : i + 2, j : j + 2] -= pij * q
+        for coh, (r, s), (r2, s2) in ((abs(state.z), (0, 0), (1, 1)), (abs(state.w), (0, 1), (1, 0))):
+            coef = dict.fromkeys(product(range(3), repeat=2), 0.0)  # (i, j) -> c
+            for i, j, k, l in product((0, 1), repeat=4):
+                coef[i + k, j + l] -= poly[i][j][r][s] * poly[k][l][r2][s2]
             coef[1, 1] += coh * coh
             # exponent -> [coefficient, i, j]; exponent differences are taken
             # from the powers, so a small rate keeps its relative precision
             merged: dict[float, list] = {}
-            for (i, j), c in np.ndenumerate(coef):
-                merged.setdefault(i * alpha + j * beta, [0.0, i, j])[0] += float(c)
+            for (i, j), c in coef.items():
+                merged.setdefault(i * alpha + j * beta, [0.0, i, j])[0] += c
             live = sorted((e, c, i, j) for e, (c, i, j) in merged.items() if c != 0.0)
             if live:
                 _, _, i0, j0 = live[0]

@@ -11,6 +11,7 @@ import pytest
 
 import xkraus
 from xkraus import ChannelSpec, XState, __version__, concurrence_x, propagate_x, werner_phi, werner_psi
+from xkraus import cli
 from xkraus.cli import main
 
 LN_5_5 = 1.7047480922384253
@@ -31,6 +32,52 @@ def test_version_flag(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_shared_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
+    # one process, one parser: each call prints exactly what the same argv
+    # gives on a parser built for it alone
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fidelity=2\n")
+    esd = ["esd", "--channel", "amplitude", "--fidelity", "0.7", "--rate-b", "0.4"]
+    sequence = [
+        (esd, False),
+        (["esd", "--bogus"], False),
+        (["--version"], False),
+        (["esd", "--help"], True),
+        (["esd", "--channel", "phase", "--config", str(cfg)], False),
+        (esd, False),
+    ]
+
+    def each_call(fresh: bool) -> list[tuple[int, str, str]]:
+        results = []
+        for argv, narrow in sequence:
+            if fresh:
+                cli._build_parser.cache_clear()
+            with monkeypatch.context() as env:
+                if narrow:
+                    env.setenv("COLUMNS", "80")
+                results.append(run(capsys, *argv))
+        return results
+
+    cli._build_parser.cache_clear()
+    shared = each_call(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 0]
+    assert shared[0] == shared[5]
+    assert "usage: xkraus esd" in shared[3][1]
+    assert shared == each_call(fresh=True)
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xkraus.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import xkraus.cli; print(xkraus.cli._build_parser.cache_info().misses)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def test_evolve_csv_shape_and_values(capsys):

@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xkraus.channels import CHANNEL_KINDS, ChannelSpec, propagate_x
+from xkraus.channels import CHANNEL_KINDS, ChannelSpec, _tau_spec, propagate_x
 from xkraus.entanglement import (
     ALIVE,
     DIES,
     SEPARABLE,
     EsdResult,
+    _Expansion,
     concurrence_general,
     concurrence_x,
     critical_fidelity_amplitude,
@@ -273,6 +274,76 @@ def test_numeric_fates_agree_with_the_benchmark_oracle(monkeypatch):
             wrong.append((values, problem))
     assert wrong == []
     assert judged > 1000
+
+
+@pytest.mark.parametrize(
+    "state, spec, decay, branches",
+    [
+        (
+            werner_psi(0.8), ChannelSpec("phase"), 2.0,
+            "[(0.3666666666666667, -2.0, [(-0.004444444444444443, 0.0), (0.13444444444444448, 2.0)]),"
+            " (0.0, -2.0, [(-0.1877777777777778, 0.0)])]",
+        ),
+        (
+            werner_phi(0.9), ChannelSpec("amplitude"), 2.0,
+            "[(0.0, 0.0, [(-0.46666666666666656, 0.0), (0.46666666666666656, 1.0),"
+            " (-0.21777777777777774, 2.0)]), (0.43333333333333335, 0.0, [(-0.06222222222222215, 0.0),"
+            " (0.46666666666666656, 1.0), (-0.21777777777777774, 2.0)])]",
+        ),
+        (
+            XState(0.4, 0.15, 0.1, 0.35, 0.1 + 0.05j, 0.3 + 0.1j), ChannelSpec("equalizing"), 2.0,
+            "[(0.1118033988749895, -2.0, [(-0.0625, 0.0), (-0.049374999999999995, 2.0),"
+            " (-0.015625, 4.0)]), (0.31622776601683794, -2.0, [(-0.0625, 0.0),"
+            " (0.16312500000000002, 2.0), (-0.015625, 4.0)])]",
+        ),
+        (
+            werner_psi(0.85), ChannelSpec("equalizing", 1.0, 0.4), 1.4,
+            "[(0.39999999999999997, -1.4, [(-0.0625, 0.0), (0.26, 1.4), (-0.04000000000000001, 2.8)]),"
+            " (0.0, -1.4, [(-0.0625, 0.0), (-0.1, 1.4), (-0.04000000000000001, 2.8)])]",
+        ),
+    ],
+    ids=["phase-werner-psi", "amplitude-werner-phi", "equalizing-custom-x", "equalizing-unequal"],
+)
+def test_expansion_coefficients_are_pinned_bit_for_bit(state, spec, decay, branches):
+    # the searches rest on exact cancellations in these coefficients, so any
+    # change to how they are formed must leave every last bit in place
+    expansion = _Expansion(state, _tau_spec(spec))
+    assert repr(expansion.decay) == repr(decay)
+    assert repr(expansion.branches) == branches
+
+
+def test_expansion_branches_equal_the_evolved_margins():
+    # each branch, rebuilt from its terms, against |coh|^2 x_A x_B - a'd'
+    # (or - b'c') from the populations of propagate_x at tau
+    rng = np.random.default_rng(2005)
+    compared = 0
+    for kind, family, pair, _ in itertools.product(
+        CHANNEL_KINDS, ("werner-psi", "werner-phi", "custom-x"),
+        ("equal", "unequal", "one-zero"), range(12),
+    ):
+        rate = rng.uniform(0.3, 2.0)
+        other = {"equal": rate, "unequal": rate * rng.uniform(1.25, 4.0), "one-zero": 0.0}[pair]
+        rate_a, rate_b = (rate, other) if rng.random() < 0.5 else (other, rate)
+        if family == "custom-x":
+            state = random_x_state(rng)
+        else:
+            f = 1.0 if rng.random() < 0.1 else rng.uniform(0.25, 1.0)
+            state = (werner_psi if family == "werner-psi" else werner_phi)(f)
+        spec = _tau_spec(ChannelSpec(kind, rate_a, rate_b))
+        expansion = _Expansion(state, spec)
+        assert len(expansion.branches) == 2  # no drawn branch cancels identically
+        for tau in (0.0, 0.5, 3.0, 12.0):
+            x_ab = math.exp(-spec.rate_a * tau) * math.exp(-spec.rate_b * tau)
+            evolved = propagate_x(state, spec, tau)
+            margins = (
+                abs(state.z) ** 2 * x_ab - evolved.a * evolved.d,
+                abs(state.w) ** 2 * x_ab - evolved.b * evolved.c,
+            )
+            for (_, excess, terms), margin in zip(expansion.branches, margins):
+                shifted = sum(c * math.exp(-e * tau) for c, e in terms)
+                assert math.exp(-excess * tau) * shifted * x_ab == pytest.approx(margin, rel=0, abs=1e-14)
+                compared += 1
+    assert compared == 2 * 4 * 324
 
 
 def test_numeric_search_initially_separable():

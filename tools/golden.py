@@ -9,8 +9,10 @@ imports ``xkraus`` from the source directory SRC (say ``src``, or the
     sha256(stdout) sha256(stderr) exit-code argv
 
 The set is the benchmark's command lists (``bench/workloads.py``, both
-workloads, seeds 1-5), ``verify`` in text and JSON, and a list of usage and
-domain errors.  Two checkouts agree where their lines agree:
+workloads, seeds 1-5), ``verify`` in text and JSON, a list of usage and
+domain errors, and the parser's own prints (``--version`` and two
+``--help`` texts, at ``COLUMNS=80`` so that they do not depend on the
+terminal).  Two checkouts agree where their lines agree:
 
     diff <(python tools/golden.py old/src) <(python tools/golden.py src)
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -54,13 +57,15 @@ ERRORS = [
     ["verify", "--seed", "x"],
 ]
 
+PRINTS = [["--version"], ["esd", "--help"], ["critical-fidelity", "--help"]]
+
 
 def _command_set() -> list[list[str]]:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import WORKLOADS, commands
 
     argvs = [cmd.argv for w in WORKLOADS for seed in SEEDS for cmd in commands(w, seed)]
-    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + ERRORS
+    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + ERRORS + PRINTS
 
 
 def _digest(text: str) -> str:
@@ -75,6 +80,7 @@ def main(src: str) -> int:
     if src_dir not in Path(cli.__file__).resolve().parents:
         print(f"xkraus was imported from {cli.__file__}, not from {src_dir}", file=sys.stderr)
         return 2
+    os.environ["COLUMNS"] = "80"
     for argv in _command_set():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
