@@ -68,8 +68,9 @@ class ChannelSpec:
             raise ValueError(
                 f"unknown channel kind {self.kind!r}; expected one of {list(CHANNEL_KINDS)}"
             )
-        _check_number("rate_a", self.rate_a)
-        _check_number("rate_b", self.rate_b)
+        # stored as Python floats, so a numpy scalar rate computes as a float
+        object.__setattr__(self, "rate_a", _check_number("rate_a", self.rate_a))
+        object.__setattr__(self, "rate_b", _check_number("rate_b", self.rate_b))
 
 
 def _tau_spec(spec: ChannelSpec) -> ChannelSpec:
@@ -164,7 +165,7 @@ def _population_map(kind: str, gamma):
 def _time_factors(spec: ChannelSpec, t: float) -> tuple[float, float]:
     """gamma_A, gamma_B = exp(-rate * t / 2) after time t, which must be
     finite and >= 0; the rates were checked by ChannelSpec."""
-    _check_number("time", t)
+    t = _check_number("time", t)
     return math.exp(-0.5 * spec.rate_a * t), math.exp(-0.5 * spec.rate_b * t)
 
 

@@ -10,16 +10,18 @@ Subcommands:
     verify             run the library self-checks
 
 ``_COMMANDS`` maps each subcommand to its handler, help and ``_Opt`` options;
-``main`` reuses one parser per process, built from it by ``_build_parser``.
-Flag text and ``--config`` values pass the same ``_Opt.parse``; a bad value
-exits 2 with ``error: --flag: <rule>`` or ``error: config key 'key': <rule>``.
-Every command hands ``_emit`` an iterable of text chunks.  The report
+these tables are the only source of flags and values.  ``main`` reuses one
+parser per process, built from them by ``_build_parser``.  Flag text and
+``--config`` values pass the same ``_Opt.parse``; a bad value exits 2 with
+``error: --flag: <rule>`` or ``error: config key 'key': <rule>``.
+A handler writes nothing: it returns its exit code and an iterable of text
+chunks, and ``main`` writes the chunks to stdout or ``--out``.  The report
 commands give one chunk, their JSON document or text lines as ``--format``
 names.  ``evolve`` and ``sweep`` share ``_grid``: it evolves every start
 state in one broadcast pass of the ``propagate_x`` kernel, checks every
-evolved state, and only then streams CSV, or JSON byte-identical to
-``json.dumps(doc, indent=2)``, one chunk per start state.  A command that
-fails writes nothing.
+evolved state, and only then returns the CSV, or JSON byte-identical to
+``json.dumps(doc, indent=2)``, as a generator of one chunk per start state.
+A command that fails writes nothing.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -43,6 +45,8 @@ import numpy as np
 from . import __version__
 from .channels import CHANNEL_KINDS, ChannelSpec, _evolve_x, _tau_spec, _time_factors
 from .entanglement import (
+    _DEFAULT_HORIZON,
+    _DEFAULT_TOL,
     ALIVE,
     DIES,
     EsdResult,
@@ -81,11 +85,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _x_params(text: str) -> tuple[float, ...]:
+def _x_params(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 8:
         raise ValueError("expected 8 comma-separated numbers: a,b,c,d,re_z,im_z,re_w,im_w")
-    return tuple(_finite_float(p) for p in parts)
+    return [_finite_float(p) for p in parts]
 
 
 def _one_of(*choices: str) -> _Rule:
@@ -139,8 +143,8 @@ _OPT_RATE_A = _Opt("--rate-a", _finite_float, 1.0, "decay rate of qubit A (defau
 _OPT_RATE_B = _Opt("--rate-b", _finite_float, 1.0, "decay rate of qubit B (default 1)", _NON_NEGATIVE)
 _OPT_TAU_MAX = _Opt("--tau-max", _finite_float, None, "largest tau = rate*t on the grid (default 5 for phase, 10 otherwise)", _POSITIVE)
 _OPT_STEPS = _Opt("--steps", int, 201, "time grid points including both endpoints (default 201)", _GRID_POINTS)
-_OPT_HORIZON = _Opt("--horizon", _finite_float, 60.0, "search horizon in tau = rate*t (default 60)", _POSITIVE)
-_OPT_TOL = _Opt("--tol", _finite_float, 1e-10, "bisection tolerance (default 1e-10)", _POSITIVE)
+_OPT_HORIZON = _Opt("--horizon", _finite_float, _DEFAULT_HORIZON, f"search horizon in tau = rate*t (default {_DEFAULT_HORIZON:g})", _POSITIVE)
+_OPT_TOL = _Opt("--tol", _finite_float, _DEFAULT_TOL, f"bisection tolerance (default {_DEFAULT_TOL:g})", _POSITIVE)
 _OPT_OUT = _Opt("--out", str, "-", "output path, - for stdout (default -)")
 _OPT_GRID_FORMAT = _Opt("--format", str, "csv", "output format: csv or json (default csv)", _one_of("csv", "json"))
 _OPT_REPORT_FORMAT = _Opt("--format", str, "text", "output format: text or json (default text)", _one_of("text", "json"))
@@ -167,15 +171,15 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _merge_options(ns: argparse.Namespace) -> dict[str, Any]:
-    """Option values by dest: flag over config key over default.  Hidden
-    flags outside the option table (verify's --inject-fault) pass through."""
+    """The command's option values by dest: flag over config key over
+    default."""
     opts = _COMMANDS[ns.command].opts
     config = _load_config(ns.config) if ns.config is not None else {}
     known = {o.key for o in opts if o.key != "config"}
     for key in config:
         if key not in known:
             raise ValueError(f"unknown config key {key!r} for command {ns.command}")
-    values = dict(vars(ns))
+    values: dict[str, Any] = {}
     for opt in opts:
         given = getattr(ns, opt.dest)
         if given is not None:
@@ -185,19 +189,6 @@ def _merge_options(ns: argparse.Namespace) -> dict[str, Any]:
         else:
             values[opt.dest] = opt.default
     return values
-
-
-def _emit(values: dict[str, Any], chunks: Iterable[str]) -> None:
-    """Write the text chunks to --out, or to stdout for -.
-
-    Chunks may be generated while they are written, so every check that can
-    fail a command runs before _emit: a failed command writes nothing.
-    """
-    if values["out"] in (None, "", "-"):
-        sys.stdout.writelines(chunks)
-    else:
-        with open(values["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
 
 
 def _report(values: dict[str, Any], doc: dict[str, Any], lines: list[str]) -> list[str]:
@@ -271,16 +262,17 @@ def _grid(
     starts: list[tuple[float | None, XState]],
     tau_end: float,
     **grid: Any,
-) -> int:
-    """Evolve each (fidelity, state) start along the tau grid and emit one
-    row per point, start-major, with the fields _CSV_FIELDS.
+) -> tuple[int, Iterable[str]]:
+    """Evolve each (fidelity, state) start along the tau grid and return
+    one row per point, start-major, with the fields _CSV_FIELDS.
 
     The starts were checked when built.  One broadcast call of the
     propagate_x kernel evolves them all, with per-tau factors from
     propagate_x's own math.exp, taken in tau units from the relative rates
     of _tau_spec, so every number rounds as in the float rule at time tau;
     np.hypot of a coherence equals abs() of the complex.  Every evolved state
-    passes the XState check before output starts, one chunk per start.
+    passes the XState check before this returns; the rows are then
+    rendered while written, one chunk per start.
     """
     tau_spec = _tau_spec(spec)
     taus = np.linspace(0.0, tau_end, values["steps"]).tolist()
@@ -300,12 +292,10 @@ def _grid(
         head = json.dumps(doc, indent=2)[:-2] + ',\n  "records": [\n'
         fid_text = ["null" if fid is None else repr(fid) for fid, _ in starts]
         rows = _grid_chunks(_JSON_RECORD, ",\n", taus, fid_text, cols)
-        _emit(values, chain([head], rows, ["\n  ]\n}\n"]))
-    else:
-        fid_text = [_fmt(fid) for fid, _ in starts]
-        rows = _grid_chunks(_CSV_ROW, "", taus, fid_text, cols)
-        _emit(values, chain([",".join(_CSV_FIELDS) + "\n"], rows))
-    return 0
+        return 0, chain([head], rows, ["\n  ]\n}\n"])
+    fid_text = [_fmt(fid) for fid, _ in starts]
+    rows = _grid_chunks(_CSV_ROW, "", taus, fid_text, cols)
+    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows)
 
 
 def _grid_chunks(
@@ -318,19 +308,19 @@ def _grid_chunks(
         yield (sep if i else "") + sep.join(template % row for row in rows)
 
 
-def cmd_evolve(values: dict[str, Any]) -> int:
+def cmd_evolve(values: dict[str, Any]) -> tuple[int, Iterable[str]]:
     spec = _require_channel(values)
     state, fid = _initial_state(values)
     tau_max = _default_tau_max(values)
     return _grid(
         "evolve", values, spec, [(fid, state)], tau_max,
         fidelity=fid,
-        x_params=list(values["x_params"]) if values["x_params"] else None,
+        x_params=values["x_params"],
         tau_max=tau_max, steps=values["steps"],
     )
 
 
-def cmd_sweep(values: dict[str, Any]) -> int:
+def cmd_sweep(values: dict[str, Any]) -> tuple[int, Iterable[str]]:
     spec = _require_channel(values)
     build = _WERNER.get(values["family"])
     if build is None:
@@ -391,7 +381,7 @@ def _esd_phrase(doc: dict[str, Any] | None) -> str:
     return "initially separable"
 
 
-def cmd_esd(values: dict[str, Any]) -> int:
+def cmd_esd(values: dict[str, Any]) -> tuple[int, list[str]]:
     spec = _require_channel(values)
     state, fid = _initial_state(values)
     horizon = values["horizon"]
@@ -405,7 +395,7 @@ def cmd_esd(values: dict[str, Any]) -> int:
         "esd", values,
         channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b,
         family=values["family"], fidelity=fid,
-        x_params=list(values["x_params"]) if values["x_params"] else None,
+        x_params=values["x_params"],
         horizon_tau=horizon, tol=tol,
         analytic=analytic_doc, numeric=numeric_doc, difference_tau=difference,
     )
@@ -425,11 +415,10 @@ def cmd_esd(values: dict[str, Any]) -> int:
     if values["rate"] is not None and numeric_doc["status"] == DIES:
         t_phys = numeric_doc["tau"] / values["rate"]
         lines.append(f"physical time at rate {_fmt(values['rate'])}: t = {_fmt(t_phys)}")
-    _emit(values, _report(values, doc, lines))
-    return 0
+    return 0, _report(values, doc, lines)
 
 
-def cmd_critical_fidelity(values: dict[str, Any]) -> int:
+def cmd_critical_fidelity(values: dict[str, Any]) -> tuple[int, list[str]]:
     horizon = values["horizon"]
     f_tol = values["tol"]
     analytic = critical_fidelity_amplitude()
@@ -446,11 +435,10 @@ def cmd_critical_fidelity(values: dict[str, Any]) -> int:
         f"numeric (horizon tau={_fmt(horizon)}, f_tol={_fmt(f_tol)}): {_fmt(numeric)}",
         f"|analytic - numeric| = {gap:.3e}",
     ]
-    _emit(values, _report(values, doc, lines))
-    return 0
+    return 0, _report(values, doc, lines)
 
 
-def cmd_demo_local_ops(values: dict[str, Any]) -> int:
+def cmd_demo_local_ops(values: dict[str, Any]) -> tuple[int, list[str]]:
     fid = values["fidelity"]
     if fid is None:
         raise ValueError("--fidelity is required")
@@ -485,14 +473,11 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> int:
     ]
     if analytic_phi is not None:
         lines.append(f"  werner-phi analytic: {_esd_phrase(analytic_phi)}")
-    _emit(values, _report(values, doc, lines))
-    return 0
+    return 0, _report(values, doc, lines)
 
 
-def cmd_verify(values: dict[str, Any]) -> int:
-    results = run_all(
-        trials=values["trials"], seed=values["seed"], inject_fault=values["inject_fault"]
-    )
+def cmd_verify(values: dict[str, Any]) -> tuple[int, list[str]]:
+    results = run_all(trials=values["trials"], seed=values["seed"])
     all_passed = all(r.passed for r in results)
     doc = _meta(
         "verify", values,
@@ -508,13 +493,12 @@ def cmd_verify(values: dict[str, Any]) -> int:
         for r in results
     ]
     lines.append("all checks passed" if all_passed else "verification FAILED")
-    _emit(values, _report(values, doc, lines))
-    return 0 if all_passed else 4
+    return (0 if all_passed else 4), _report(values, doc, lines)
 
 
 @dataclass(frozen=True)
 class _Command:
-    run: Callable[[dict[str, Any]], int]
+    run: Callable[[dict[str, Any]], tuple[int, Iterable[str]]]
     help: str
     opts: tuple[_Opt, ...]
 
@@ -545,8 +529,8 @@ _COMMANDS: dict[str, _Command] = {
         (_OPT_FIDELITY, _OPT_HORIZON, _OPT_TOL, _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG),
     ),
     "verify": _Command(cmd_verify, "run the library self-checks", (
-        _Opt("--trials", int, DEFAULT_TRIALS, "randomized trials per check (default 200)", _AT_LEAST_ONE),
-        _Opt("--seed", int, DEFAULT_SEED, "seed for the randomized checks (default 12345)", _NON_NEGATIVE),
+        _Opt("--trials", int, DEFAULT_TRIALS, f"randomized trials per check (default {DEFAULT_TRIALS:g})", _AT_LEAST_ONE),
+        _Opt("--seed", int, DEFAULT_SEED, f"seed for the randomized checks (default {DEFAULT_SEED:g})", _NON_NEGATIVE),
         _OPT_OUT, _OPT_REPORT_FORMAT, _OPT_CONFIG,
     )),
 }
@@ -565,8 +549,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=command.help, description=command.help)
         for opt in command.opts:
             cmd.add_argument(opt.flag, default=None, help=opt.help)
-        if name == "verify":
-            cmd.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -577,7 +559,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        return _COMMANDS[ns.command].run(_merge_options(ns))
+        values = _merge_options(ns)
+        code, chunks = _COMMANDS[ns.command].run(values)
+        # chunks may be generated while written, so every check that can
+        # fail a command has run before: a failed command writes nothing
+        if values["out"] in (None, "", "-"):
+            sys.stdout.writelines(chunks)
+        else:
+            with open(values["out"], "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+        return code
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -587,7 +578,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, ChannelSpec, _population_map, _tau_spec
 from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff
-from .states import XState, _check_fidelity, _check_number, werner_psi
+from .states import XState, _check_fidelity, _check_number, _finite_real, werner_psi
 
 __all__ = [
     "DIES",
@@ -126,8 +126,7 @@ class EsdResult:
 
     @classmethod
     def dies(cls, time: float) -> "EsdResult":
-        _check_number("death time", time)
-        return cls(status=DIES, time=float(time))
+        return cls(status=DIES, time=_check_number("death time", time))
 
     @classmethod
     def alive_at_horizon(cls, horizon: float, c_final: float) -> "EsdResult":
@@ -165,7 +164,7 @@ def esd_time_phase_werner(fidelity: float, *, horizon: float = _DEFAULT_HORIZON)
     survival at the caller's horizon.
     """
     f = _check_fidelity(fidelity)
-    _check_number("horizon", horizon, positive=True)
+    horizon = _check_number("horizon", horizon, positive=True)
     if f <= 0.5:
         return EsdResult.initially_separable()
     if f == 1.0:
@@ -181,13 +180,10 @@ def esd_time_amplitude_phi_werner(fidelity: float) -> EsdResult:
     tau = ln((2F + 1) / (4 - 4F)).  The time grows without bound as F
     approaches 1; the endpoints are outside this formula's domain.
     """
-    if not (
-        isinstance(fidelity, (int, float))
-        and math.isfinite(fidelity)
-        and 0.5 < fidelity < 1.0
-    ):
+    f = _finite_real(fidelity)
+    if f is None or not 0.5 < f < 1.0:
         raise ValueError(f"fidelity must lie strictly between 1/2 and 1, got {fidelity}")
-    return EsdResult.dies(math.log((2.0 * fidelity + 1.0) / (4.0 - 4.0 * fidelity)))
+    return EsdResult.dies(math.log((2.0 * f + 1.0) / (4.0 - 4.0 * f)))
 
 
 # [T(0), T(1) - T(0)] per kind as 2x2 maps: the differences of 0, T(0) and T(1)
@@ -272,15 +268,15 @@ def esd_time_numeric(
     every channel kind and rate pair, including a zero rate.  A state with
     zero initial concurrence is reported separable outright.
     """
-    _check_number("horizon", horizon, positive=True)
-    _check_number("tol", tol, positive=True)
+    horizon = _check_number("horizon", horizon, positive=True)
+    tol = _check_number("tol", tol, positive=True)
     spec = _tau_spec(spec)
     if concurrence_x(state) <= 0.0:
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
     if expansion.entangled(horizon):
         return EsdResult.alive_at_horizon(horizon, expansion.concurrence(horizon))
-    return EsdResult.dies(_bisect(expansion.entangled, 0.0, float(horizon), tol))
+    return EsdResult.dies(_bisect(expansion.entangled, 0.0, horizon, tol))
 
 
 def critical_fidelity_amplitude() -> float:
@@ -294,7 +290,7 @@ def critical_fidelity_amplitude() -> float:
     return (3.0 * math.sqrt(5.0) - 1.0) / 8.0
 
 
-def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = 1e-10) -> float:
+def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = _DEFAULT_TOL) -> float:
     """Locate the survival boundary by bisecting the fidelity axis.
 
     Each probe classifies werner_psi(F) under equal-rate amplitude noise
@@ -304,8 +300,8 @@ def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = 
     at horizon 60 the bias is far below f_tol.  The bracket is bisected
     like a death time (_bisect).
     """
-    _check_number("f_tol", f_tol, positive=True)
-    _check_number("horizon", horizon, positive=True)
+    f_tol = _check_number("f_tol", f_tol, positive=True)
+    horizon = _check_number("horizon", horizon, positive=True)
     spec = ChannelSpec("amplitude")  # equal rates 1: its time is already tau
 
     def dies(f: float) -> bool:

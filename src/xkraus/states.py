@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -130,24 +131,33 @@ def _check_x(a, b, c, d, abs_z, abs_w) -> None:
             raise ValueError(message.format(low=min(a, b, c, d), total=a + b + c + d))
 
 
-def _check_number(name: str, value: float, *, positive: bool = False) -> None:
-    """Raise ValueError unless value is a finite int or float that is >= 0,
-    or > 0 if positive."""
-    if not (
-        isinstance(value, (int, float))
-        and math.isfinite(value)
-        and (value > 0.0 if positive else value >= 0.0)
-    ):
+def _finite_real(value) -> float | None:
+    """value as a Python float if it is a finite real number (int, float,
+    or a numpy scalar that numbers.Real admits); None otherwise."""
+    if isinstance(value, (int, float)) or isinstance(value, numbers.Real):
+        value = float(value)
+        if math.isfinite(value):
+            return value
+    return None
+
+
+def _check_number(name: str, value: float, *, positive: bool = False) -> float:
+    """value as a float; raise ValueError unless it is a finite real number
+    that is >= 0, or > 0 if positive."""
+    number = _finite_real(value)
+    if number is None or not (number > 0.0 if positive else number >= 0.0):
         rule = "positive" if positive else ">= 0"
         raise ValueError(f"{name} must be finite and {rule}, got {value}")
+    return number
 
 
 def _check_fidelity(fidelity: float) -> float:
-    if not (isinstance(fidelity, (int, float)) and math.isfinite(fidelity)):
+    f = _finite_real(fidelity)
+    if f is None:
         raise ValueError("fidelity must be a finite number")
-    if not 0.25 <= fidelity <= 1.0:
+    if not 0.25 <= f <= 1.0:
         raise ValueError(f"fidelity must lie in [0.25, 1], got {fidelity}")
-    return float(fidelity)
+    return f
 
 
 def werner_psi(fidelity: float) -> XState:

@@ -91,7 +91,7 @@ def test_criterion_03_equal_spectra_opposite_fates():
 
 
 def test_criterion_04_trace_preservation():
-    result = _check_trace_preservation(inject_fault=False)
+    result = _check_trace_preservation()
     ok = result.tolerance == 1e-12 and result.passed
     assert _report(4, "trace preservation", ok), result
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import xkraus
-from xkraus import ChannelSpec, XState, __version__, concurrence_x, propagate_x, werner_phi, werner_psi
+from xkraus import (
+    ChannelSpec, XState, __version__, concurrence_x, kraus_set, propagate_x, werner_phi, werner_psi,
+)
 from xkraus import cli
 from xkraus.cli import main
 
@@ -556,10 +559,50 @@ def test_verify_json(capsys):
     assert len(doc["checks"]) == 8
 
 
-def test_verify_inject_fault_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--trials", "5", "--inject-fault")
+def test_verify_inject_fault_fails(capsys, monkeypatch):
+    # a fault in the first Kraus set only: the completeness check must fail
+    # it, while every later check still gets valid sets to apply
+    calls = []
+
+    def faulty_kraus_set(spec, t):
+        ops = kraus_set(spec, t)
+        if not calls:
+            ops[0] = 1.1 * ops[0]
+        calls.append(t)
+        return ops
+
+    monkeypatch.setattr(xkraus.verify, "kraus_set", faulty_kraus_set)
+    code, out, _ = run(capsys, "verify", "--trials", "5")
     assert code == 4
     assert "FAIL" in out
+
+
+def test_parser_registers_exactly_the_table_flags():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices.keys() == cli._COMMANDS.keys()
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == {opt.flag for opt in cli._COMMANDS[name].opts}, name
+
+
+HANDLER_ARGV = {
+    "evolve": ["--channel", "amplitude", "--fidelity", "0.8", "--steps", "5"],
+    "sweep": ["--channel", "equalizing", "--fidelity-steps", "3", "--steps", "4", "--format", "json"],
+    "esd": ["--channel", "phase", "--fidelity", "0.8", "--rate", "2"],
+    "critical-fidelity": ["--format", "json"],
+    "demo-local-ops": ["--fidelity", "0.8"],
+    "verify": ["--trials", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_handlers_return_what_main_writes(capsys, name):
+    argv = [name, *HANDLER_ARGV[name]]
+    values = cli._merge_options(cli._build_parser().parse_args(argv))
+    code, chunks = cli._COMMANDS[name].run(values)
+    text = "".join(chunks)
+    assert capsys.readouterr() == ("", "")
+    assert run(capsys, *argv) == (code, text, "")
 
 
 def test_out_to_unwritable_path_is_io_error(tmp_path, capsys):

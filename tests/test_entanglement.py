@@ -364,6 +364,37 @@ def test_numeric_search_rejects_bad_horizon_and_tol():
         esd_time_numeric(werner_psi(0.8), spec, tol=0.0)
 
 
+def test_numpy_scalars_compute_as_the_floats_they_equal():
+    # numpy scalars are real numbers: each call equals the call with the same
+    # values as Python floats, so a float32 input is not computed in float32
+    f32, rate32, tol32 = np.float32(0.8), np.float32(1.3), np.float32(1e-6)
+    f, rate, tol = float(f32), float(rate32), float(tol32)
+    spec = ChannelSpec("amplitude", rate_a=rate32, rate_b=np.int64(2))
+    assert spec == ChannelSpec("amplitude", rate, 2.0)
+    assert type(spec.rate_a) is type(spec.rate_b) is float
+    assert werner_psi(f32) == werner_psi(f)
+    assert propagate_x(werner_phi(f32), spec, np.float32(0.7)) == propagate_x(
+        werner_phi(f), ChannelSpec("amplitude", rate, 2.0), float(np.float32(0.7))
+    )
+    for state in (werner_psi(0.9), werner_phi(f32)):
+        assert esd_time_numeric(state, spec, horizon=np.int64(60), tol=tol32) == esd_time_numeric(
+            state, ChannelSpec("amplitude", rate, 2.0), horizon=60.0, tol=tol
+        )
+    assert esd_time_phase_werner(f32, horizon=np.int64(60)) == esd_time_phase_werner(f, horizon=60.0)
+    assert esd_time_amplitude_phi_werner(f32) == esd_time_amplitude_phi_werner(f)
+    assert critical_fidelity_numeric(horizon=np.int64(60), f_tol=tol32) == critical_fidelity_numeric(
+        horizon=60.0, f_tol=tol
+    )
+    with pytest.raises(ValueError, match="rate_a must be finite and >= 0, got -1"):
+        ChannelSpec("phase", rate_a=np.int64(-1))
+    with pytest.raises(ValueError, match="fidelity must be a finite number"):
+        werner_psi(np.float32("nan"))
+    with pytest.raises(ValueError, match="strictly between 1/2 and 1, got 1"):
+        esd_time_amplitude_phi_werner(np.int64(1))
+    with pytest.raises(ValueError, match="horizon must be finite and positive"):
+        esd_time_numeric(werner_psi(0.8), spec, horizon="60")
+
+
 def test_critical_fidelity_analytic_value():
     f_c = critical_fidelity_amplitude()
     assert f_c == (3.0 * math.sqrt(5.0) - 1.0) / 8.0

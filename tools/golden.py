@@ -10,9 +10,9 @@ imports ``xkraus`` from the source directory SRC (say ``src``, or the
 
 The set is the benchmark's command lists (``bench/workloads.py``, both
 workloads, seeds 1-5), ``verify`` in text and JSON, a list of usage and
-domain errors, and the parser's own prints (``--version`` and two
-``--help`` texts, at ``COLUMNS=80`` so that they do not depend on the
-terminal).  Two checkouts agree where their lines agree:
+domain errors, and the parser's own prints (``--version``, the top-level
+``--help`` and every subcommand's ``--help``, at ``COLUMNS=80`` so that they
+do not depend on the terminal).  Two checkouts agree where their lines agree:
 
     diff <(python tools/golden.py old/src) <(python tools/golden.py src)
 """
@@ -57,7 +57,9 @@ ERRORS = [
     ["verify", "--seed", "x"],
 ]
 
-PRINTS = [["--version"], ["esd", "--help"], ["critical-fidelity", "--help"]]
+PRINTS = [["--version"], ["--help"]] + [
+    [name, "--help"] for name in ("evolve", "sweep", "esd", "critical-fidelity", "demo-local-ops", "verify")
+]
 
 
 def _command_set() -> list[list[str]]:
