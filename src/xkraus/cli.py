@@ -414,6 +414,8 @@ def cmd_esd(values: dict[str, Any]) -> tuple[int, list[str]]:
         lines.append(f"|analytic - numeric| tau = {difference:.3e}")
     if values["rate"] is not None and numeric_doc["status"] == DIES:
         t_phys = numeric_doc["tau"] / values["rate"]
+        if math.isinf(t_phys):
+            raise ValueError(f"--rate: t = tau / rate exceeds the float range at rate {_fmt(values['rate'])}")
         lines.append(f"physical time at rate {_fmt(values['rate'])}: t = {_fmt(t_phys)}")
     return 0, _report(values, doc, lines)
 

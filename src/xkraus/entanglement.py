@@ -12,7 +12,8 @@ Although every matrix element decays smoothly under the noise channels,
 concurrence can hit zero at a finite time and stay there; local channels
 cannot recreate entanglement, so the searches below need only an exact sign
 test, on an expansion that neither cancels nor underflows (_Expansion), and
-one bisection (_bisect).  Every time here (horizons, time tolerances and
+a death time in closed form where a branch is quadratic, or else one
+bisection (_bisect).  Every time here (horizons, time tolerances and
 results) is the dimensionless tau = rate_ref * t, with rate_ref the larger
 of the two channel rates.  The paper states its death times in the same
 unit, so no result is scaled by rate_ref.
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import cmp_to_key, lru_cache
+from itertools import groupby, product
 from typing import Callable
 
 import numpy as np
@@ -186,9 +188,45 @@ def esd_time_amplitude_phi_werner(fidelity: float) -> EsdResult:
     return EsdResult.dies(math.log((2.0 * f + 1.0) / (4.0 - 4.0 * f)))
 
 
-# [T(0), T(1) - T(0)] per kind as 2x2 maps: the differences of 0, T(0) and T(1)
+# T(0) and T(1) - T(0) per kind, each as two rows: the differences of 0, T(0) and T(1)
 _MAPS = {kind: np.diff([[0.0] * 4, _population_map(kind, 0.0), _population_map(kind, 1.0)], axis=0)
-         .reshape(2, 2, 2) for kind in CHANNEL_KINDS}
+         .reshape(2, 2, 2).tolist() for kind in CHANNEL_KINDS}
+
+
+def _population(ra: list, rb: list, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """Coefficients of 1, x_B, x_A and x_A x_B in an entry of T_A P T_B^T,
+    P = [[a, b], [c, d]], from its rows ra and rb of T(0) and T(1) - T(0),
+    each summed as einsum sums it: (m0 a n0 + m0 b n1) + (m1 c n0 + m1 d n1)."""
+    ((m0, m1), (n0, n1)), ((u0, u1), (v0, v1)) = ra, rb
+    ma, mb, mc, md, da, db, dc, dd = m0 * a, m0 * b, m1 * c, m1 * d, n0 * a, n0 * b, n1 * c, n1 * d
+    return ((ma * u0 + mb * u1) + (mc * u0 + md * u1), (ma * v0 + mb * v1) + (mc * v0 + md * v1),
+            (da * u0 + db * u1) + (dc * u0 + dd * u1), (da * v0 + db * v1) + (dc * v0 + dd * v1))
+
+
+def _branch(p: tuple[float, ...], q: tuple[float, ...], coh: float) -> tuple[float, ...]:
+    """Coefficients of x_A^i x_B^j in |coh|^2 x_A x_B - p q, in
+    product(range(3), repeat=2) order, then a padding 0.0; each sums its
+    products in product((0, 1), repeat=4) order."""
+    (p00, p01, p10, p11), (q00, q01, q10, q11) = p, q
+    return (-p00 * q00, -p00 * q01 - p01 * q00, -p01 * q01, -p00 * q10 - p10 * q00,
+            -p00 * q11 - p01 * q10 - p10 * q01 - p11 * q00 + coh * coh,
+            -p01 * q11 - p11 * q01, -p10 * q10, -p10 * q11 - p11 * q10, -p11 * q11, 0.0)
+
+
+@lru_cache(maxsize=256)
+def _plan(alpha: float, beta: float) -> tuple[tuple, tuple]:
+    """The powers x_A^i x_B^j grouped by equal exponent i*alpha + j*beta,
+    slowest first, as _branch positions padded to three; and for each group
+    as the slowest surviving one, the excess and every group's exponent
+    relative to it, from each group's first (i, j).  Exponents are compared
+    exactly: (i - k) * alpha + (j - l) * beta sums two exact products, and
+    a rounded sum keeps the sign, and any zero, of the exact one."""
+    key = cmp_to_key(lambda p, q: (p[0] - q[0]) * alpha + (p[1] - q[1]) * beta)
+    groups = [list(g) for _, g in groupby(sorted(product(range(3), repeat=2), key=key), key)]
+    reps = [g[0] for g in groups]
+    shifts = tuple(((i0 - 1) * alpha + (j0 - 1) * beta, tuple((i - i0) * alpha + (j - j0) * beta for i, j in reps))
+                   for i0, j0 in reps)
+    return tuple(tuple(3 * i + j for i, j in g) + (9,) * (3 - len(g)) for g in groups), shifts
 
 
 class _Expansion:
@@ -196,40 +234,35 @@ class _Expansion:
 
     With x = gamma^2 per qubit, each qubit's population map is
     T(x) = T(0) + x (T(1) - T(0)) (_MAPS keeps both maps per kind), so
-    every evolved population is bilinear in (1, x_A) x (1, x_B), with
-    coefficients from one einsum, and both coherences scale as x_A x_B.
-    Each branch's squared margin, |z|^2 x_A x_B - a'd' or |w|^2 x_A x_B -
-    b'c', has the sign of the branch and is a polynomial of degree <= 2 in
-    each x: a sum of c_k exp(-e_k tau) with x = exp(-tau * rate / rate_ref),
-    the rates of spec being relative to rate_ref already (_tau_spec).  Float
-    loops (rounding as numpy float64 does) form and merge its coefficients,
-    so leading terms cancel exactly, and shift the exponents so that the
+    every evolved population is bilinear in (1, x_A) x (1, x_B)
+    (_population), and both coherences scale as x_A x_B.  Each branch's
+    squared margin, |z|^2 x_A x_B - a'd' or |w|^2 x_A x_B - b'c', has the
+    sign of the branch and is a polynomial of degree <= 2 in each x
+    (_branch): a sum of c_k exp(-e_k tau) with x = exp(-tau * rate /
+    rate_ref), the rates of spec being relative to rate_ref already
+    (_tau_spec).  Terms of exactly equal exponent are merged (_plan), so
+    leading terms cancel exactly, and the exponents are shifted so that the
     slowest surviving term is constant: nothing underflows to a false zero.
     """
 
     def __init__(self, state: XState, spec: ChannelSpec) -> None:
         alpha, beta = spec.rate_a, spec.rate_b
         self.decay = alpha + beta  # x_A x_B = exp(-decay * tau)
-        maps, pops = _MAPS[spec.kind], [[state.a, state.b], [state.c, state.d]]
-        # poly[i][j][r][s]: coefficient of x_A^i x_B^j in the population at row r, column s
-        poly = np.einsum("irb,bc,jsc->ijrs", maps, pops, maps).tolist()
+        (t0, t1), (a, b, c, d) = _MAPS[spec.kind], (state.a, state.b, state.c, state.d)
+        groups, shifts = _plan(alpha, beta)
         self.branches = []
         for coh, (r, s), (r2, s2) in ((abs(state.z), (0, 0), (1, 1)), (abs(state.w), (0, 1), (1, 0))):
-            coef = dict.fromkeys(product(range(3), repeat=2), 0.0)  # (i, j) -> c
-            for i, j, k, l in product((0, 1), repeat=4):
-                coef[i + k, j + l] -= poly[i][j][r][s] * poly[k][l][r2][s2]
-            coef[1, 1] += coh * coh
-            # exponent -> [coefficient, i, j]; exponent differences are taken
-            # from the powers, so a small rate keeps its relative precision
-            merged: dict[float, list] = {}
-            for (i, j), c in coef.items():
-                merged.setdefault(i * alpha + j * beta, [0.0, i, j])[0] += c
-            live = sorted((e, c, i, j) for e, (c, i, j) in merged.items() if c != 0.0)
-            if live:
-                _, _, i0, j0 = live[0]
-                terms = [(c, (i - i0) * alpha + (j - j0) * beta) for _, c, i, j in live]
+            p = _population((t0[r], t1[r]), (t0[s], t1[s]), a, b, c, d)
+            coef = _branch(p, _population((t0[r2], t1[r2]), (t0[s2], t1[s2]), a, b, c, d), coh)
+            terms: list[tuple[float, float]] = []
+            for g, (i, j, k) in enumerate(groups):
+                e = coef[i] + coef[j] + coef[k]
+                if e != 0.0:
+                    if not terms:  # the slowest surviving group leads
+                        excess, exps = shifts[g]
+                    terms.append((e, exps[g]))
+            if terms:
                 # u = branch / (x_A x_B) = shifted sum * exp(-excess * tau)
-                excess = (i0 - 1) * alpha + (j0 - 1) * beta
                 self.branches.append((coh, excess, terms))
 
     @staticmethod
@@ -251,6 +284,28 @@ class _Expansion:
                 return 2.0 * math.exp(-0.5 * self.decay * tau) * u / (coh + root)
         return 0.0
 
+    def death(self) -> float | None:
+        """The tau where the branch positive at tau = 0 first vanishes, in
+        closed form where that branch is c0 + c1 y or c0 + c1 y + c2 y^2 in
+        y = exp(-delta tau): -ln(y) / delta, y its largest root in (0, 1)
+        by the quadratic formula in its cancellation-free form.  None for
+        any other branch, or if there is no such root."""
+        terms = next((t for _, _, t in self.branches if self._shifted(t, 0.0) > 0.0), ())
+        if len(terms) == 2:
+            (c0, _), (c1, delta) = terms
+            roots = [-c0 / c1]
+        elif len(terms) == 3 and 2.0 * terms[1][1] == terms[2][1]:
+            # scaled by a power of two, exactly, so that c1^2 cannot underflow
+            scale = -math.frexp(max(abs(c) for c, _ in terms))[1]
+            (c0, c1, c2), delta = (math.ldexp(c, scale) for c, _ in terms), terms[1][1]
+            disc = c1 * c1 - 4.0 * c2 * c0
+            q = -0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
+            roots = [q / c2, c0 / q] if disc >= 0.0 and q != 0.0 else []
+        else:
+            return None
+        roots = [y for y in roots if 0.0 < y < 1.0]
+        return -math.log(max(roots)) / delta if roots else None
+
 
 def esd_time_numeric(
     state: XState,
@@ -263,7 +318,8 @@ def esd_time_numeric(
     Entanglement, once lost, never returns under local channels, so one
     exact sign test at the horizon decides the fate: a state still
     entangled there is reported alive with its concurrence, computed
-    without cancellation; otherwise [0, horizon] is bisected (_bisect).
+    without cancellation; otherwise the death time comes in closed form
+    (_Expansion.death) or, where none applies, by bisecting [0, horizon].
     The horizon, tol and the result are all in tau.  The same path serves
     every channel kind and rate pair, including a zero rate.  A state with
     zero initial concurrence is reported separable outright.
@@ -276,7 +332,10 @@ def esd_time_numeric(
     expansion = _Expansion(state, spec)
     if expansion.entangled(horizon):
         return EsdResult.alive_at_horizon(horizon, expansion.concurrence(horizon))
-    return EsdResult.dies(_bisect(expansion.entangled, 0.0, horizon, tol))
+    tau = expansion.death()
+    if tau is None or not tau <= horizon:
+        tau = _bisect(expansion.entangled, 0.0, horizon, tol)
+    return EsdResult.dies(tau)
 
 
 def critical_fidelity_amplitude() -> float:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -15,6 +18,7 @@ from xkraus import (
     ChannelSpec, XState, __version__, concurrence_x, kraus_set, propagate_x, werner_phi, werner_psi,
 )
 from xkraus import cli
+from xkraus.channels import CHANNEL_KINDS
 from xkraus.cli import main
 
 LN_5_5 = 1.7047480922384253
@@ -461,6 +465,35 @@ def test_esd_death_time_stays_finite_at_subnormal_rates(capsys):
     assert "numeric (horizon tau=60, tol=1e-10): dies at tau = 1.1786549963" in out
 
 
+def test_esd_death_below_the_rate_precision(capsys):
+    # 1 + 1e-17 == 1: exponents merged on such sums left a positive constant
+    # term, and the survivor's concurrence raised OverflowError (exit 1)
+    code, out, err = run(
+        capsys, "esd", "--channel", "amplitude", "--family", "werner-psi", "--fidelity", "0.7",
+        "--rate-b", "1e-17", "--horizon", "1e21", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    numeric = json.loads(out)["numeric"]
+    assert numeric["status"] == "dies"
+    assert numeric["tau"] == pytest.approx(math.log(5.0) / 1e-17, rel=1e-12)
+
+
+def test_esd_physical_time_beyond_the_float_range_is_usage_error(capsys):
+    # tau / 1e-320 overflowed and the report printed t = inf
+    code, out, err = run(
+        capsys, "esd", "--channel", "equalizing", "--family", "werner-psi", "--fidelity", "0.75",
+        "--rate-a", "0", "--rate-b", "1e9", "--rate", "1e-320",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --rate: ")
+    code, out, _ = run(
+        capsys, "esd", "--channel", "equalizing", "--family", "werner-psi", "--fidelity", "0.75",
+        "--rate-a", "0", "--rate-b", "1e9", "--rate", "1e-300",
+    )
+    assert code == 0
+    assert "physical time at rate 1e-300: t = " in out and "inf" not in out
+
+
 def test_esd_survival_echoes_the_exact_horizon(capsys):
     # 60 / rate_ref * rate_ref came back as 60.00000000000001
     code, out, _ = run(
@@ -612,3 +645,60 @@ def test_out_to_unwritable_path_is_io_error(tmp_path, capsys):
     )
     assert code == 1
     assert "i/o error" in err
+
+
+_FUZZ_RATES = ("0", "5e-324", "1e-320", "2.2e-308", "1e-300", "1e-20", "1e-17", "1e-9", "1", "1e9", "1e300", "1.7e308")
+_FUZZ_FIDELITIES = ("0.25", "0.5", "0.5000000000000001", "0.7135254915624211", "0.9999999999999999", "1")
+_FUZZ_HORIZONS = ("1e-300", "1e-9", "0.05", "60", "1e15", "1e21", "1e100", "1.7e308")
+_FUZZ_TOLS = ("5e-324", "1e-300", "1e-17", "1e-10", "1", "1e300")
+
+
+def _fuzz_argv(rng: random.Random) -> list[str]:
+    """One argv over extreme values: rates from 0 to 1.7e308 (subnormals
+    included), edge fidelities, and horizons and tolerances at both ends."""
+    def pick(choices):
+        return rng.choice(choices) if rng.random() < 0.8 else repr(rng.uniform(0.0, 2.0))
+
+    command = rng.choice(("esd",) * 6 + ("demo-local-ops", "evolve", "sweep", "critical-fidelity"))
+    argv = [command]
+    if command in ("esd", "evolve", "sweep"):
+        family = rng.choice(("werner-psi", "werner-phi", "custom-x"))
+        argv += ["--channel", rng.choice(CHANNEL_KINDS), "--family", family,
+                 "--rate-a", pick(_FUZZ_RATES), "--rate-b", pick(_FUZZ_RATES)]
+        if family == "custom-x" and command != "sweep":
+            weights = [rng.random() for _ in range(4)]
+            a, b, c, d = (x / sum(weights) for x in weights)
+            z, w = (rng.uniform(-1.2, 1.2) * math.sqrt(p * q) for p, q in ((a, d), (b, c)))
+            argv += ["--x-params", ",".join(repr(v) for v in (a, b, c, d, z, 0.0, w, 0.0))]
+        elif command != "sweep":
+            argv += ["--fidelity", pick(_FUZZ_FIDELITIES)]
+        if command == "esd" and rng.random() < 0.5:
+            argv += ["--rate", rng.choice(_FUZZ_RATES[1:])]
+    if command == "demo-local-ops":
+        argv += ["--fidelity", pick(_FUZZ_FIDELITIES)]
+    if command in ("evolve", "sweep"):
+        argv += ["--steps", "3", "--tau-max", pick(_FUZZ_HORIZONS)]
+        argv += ["--fidelity-steps", "3"] if command == "sweep" else []
+    else:
+        argv += ["--horizon", pick(_FUZZ_HORIZONS), "--tol", rng.choice(_FUZZ_TOLS)]
+    return argv + (["--format", "json"] if rng.random() < 0.3 else [])
+
+
+def test_fuzzed_argv_exits_with_a_documented_code():
+    # in-process, no child processes or threads: each argv returns 0, 2
+    # (usage or domain error) or 3 (numerical failure), with the matching
+    # stderr, and no exception escapes main
+    rng = random.Random(2005)
+    codes = {0: 0, 2: 0, 3: 0}
+    for _ in range(2500):
+        argv = _fuzz_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in codes, (argv, code, err.getvalue())
+        if code == 0:
+            assert err.getvalue() == "", argv
+        else:
+            assert {2: "error: ", 3: "numerical failure: "}[code] in err.getvalue(), argv
+        codes[code] += 1
+    assert min(codes.values()) > 0

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xkraus.channels import CHANNEL_KINDS, ChannelSpec, _tau_spec, propagate_x
+from xkraus.channels import CHANNEL_KINDS, ChannelSpec, _population_map, _tau_spec, propagate_x
 from xkraus.entanglement import (
     ALIVE,
     DIES,
     SEPARABLE,
     EsdResult,
     _Expansion,
+    _bisect,
     concurrence_general,
     concurrence_x,
     critical_fidelity_amplitude,
@@ -344,6 +345,125 @@ def test_expansion_branches_equal_the_evolved_margins():
                 assert math.exp(-excess * tau) * shifted * x_ab == pytest.approx(margin, rel=0, abs=1e-14)
                 compared += 1
     assert compared == 2 * 4 * 324
+
+
+def _einsum_branches(state, spec):
+    """The branches formed by one numpy einsum and float loops keyed on
+    the exponent i*alpha + j*beta: the reference for _Expansion's rounding,
+    wherever no two distinct exponents round to one float."""
+    alpha, beta = spec.rate_a, spec.rate_b
+    maps = np.diff(
+        [[0.0] * 4, _population_map(spec.kind, 0.0), _population_map(spec.kind, 1.0)], axis=0
+    ).reshape(2, 2, 2)
+    poly = np.einsum("irb,bc,jsc->ijrs", maps, [[state.a, state.b], [state.c, state.d]], maps).tolist()
+    branches = []
+    for coh, (r, s), (r2, s2) in ((abs(state.z), (0, 0), (1, 1)), (abs(state.w), (0, 1), (1, 0))):
+        coef = dict.fromkeys(itertools.product(range(3), repeat=2), 0.0)
+        for i, j, k, l in itertools.product((0, 1), repeat=4):
+            coef[i + k, j + l] -= poly[i][j][r][s] * poly[k][l][r2][s2]
+        coef[1, 1] += coh * coh
+        merged = {}
+        for (i, j), c in coef.items():
+            merged.setdefault(i * alpha + j * beta, [0.0, i, j])[0] += c
+        live = sorted((e, c, i, j) for e, (c, i, j) in merged.items() if c != 0.0)
+        if live:
+            _, _, i0, j0 = live[0]
+            terms = [(c, (i - i0) * alpha + (j - j0) * beta) for _, c, i, j in live]
+            branches.append((coh, (i0 - 1) * alpha + (j0 - 1) * beta, terms))
+    return branches
+
+
+def _seeded_starts(rng, kind, family, pair):
+    """A start state and tau spec drawn for one kind, family and rate class."""
+    rate = rng.uniform(0.3, 2.0)
+    other = {"equal": rate, "unequal": rate * rng.uniform(1.25, 4.0), "one-zero": 0.0, "half": 0.5 * rate}[pair]
+    rate_a, rate_b = (rate, other) if rng.random() < 0.5 else (other, rate)
+    if family == "custom-x":
+        state = random_x_state(rng)
+    else:
+        state = (werner_psi if family == "werner-psi" else werner_phi)(rng.uniform(0.25, 1.0))
+    return state, _tau_spec(ChannelSpec(kind, rate_a, rate_b))
+
+
+def test_expansion_equals_the_einsum_build_bit_for_bit():
+    # at a rate ratio of 1/2, two distinct powers share an exponent and merge
+    rng = np.random.default_rng(11)
+    built = 0
+    for kind, family, pair, _ in itertools.product(
+        CHANNEL_KINDS, ("werner-psi", "werner-phi", "custom-x"),
+        ("equal", "unequal", "one-zero", "half"), range(40),
+    ):
+        state, spec = _seeded_starts(rng, kind, family, pair)
+        expansion = _Expansion(state, spec)
+        assert repr(expansion.branches) == repr(_einsum_branches(state, spec))
+        assert repr(expansion.decay) == repr(spec.rate_a + spec.rate_b)
+        built += 1
+    assert built == 3 * 3 * 4 * 40
+
+
+def test_closed_form_death_agrees_with_bisection():
+    # phase noise at any rates, and amplitude or equalizing noise at equal
+    # rates or with one rate zero, leave a linear or quadratic branch
+    rng = np.random.default_rng(12)
+    tol, compared = 1e-10, 0
+    for kind, family, pair, _ in itertools.product(
+        CHANNEL_KINDS, ("werner-psi", "werner-phi", "custom-x"),
+        ("equal", "unequal", "one-zero", "half"), range(40),
+    ):
+        if kind != "phase" and pair not in ("equal", "one-zero"):
+            continue
+        state, spec = _seeded_starts(rng, kind, family, pair)
+        expansion = _Expansion(state, spec)
+        if concurrence_x(state) <= 0.0 or expansion.entangled(60.0):
+            continue
+        tau = expansion.death()
+        assert tau is not None
+        assert abs(tau - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
+        assert esd_time_numeric(state, spec, horizon=60.0, tol=tol).time == tau
+        compared += 1
+    assert compared > 300
+    # a branch whose coefficients all lie near 1e-160: c1^2 would be subnormal
+    for a in (1e-100, 1e-160, 1e-300):
+        state = XState(a, 0.35 - a / 2, 0.35 - a / 2, 0.3, 1.2 * math.sqrt(0.3 * a))
+        expansion = _Expansion(state, _tau_spec(ChannelSpec("amplitude")))
+        assert abs(expansion.death() - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
+
+
+def test_closed_form_death_matches_the_paper_to_the_last_digits():
+    bell = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
+    tau = esd_time_numeric(bell, ChannelSpec("equalizing")).time
+    assert tau == pytest.approx(-math.log(math.sqrt(2.0) - 1.0), rel=1e-14, abs=0.0)
+    for f in (0.55, 0.6, 0.7, 0.8, 0.9, 0.95):
+        tau = esd_time_numeric(werner_psi(f), ChannelSpec("phase")).time
+        assert tau == pytest.approx(math.log((4.0 * f - 1.0) / (2.0 - 2.0 * f)), rel=1e-14, abs=0.0)
+        tau = esd_time_numeric(werner_phi(f), ChannelSpec("amplitude")).time
+        assert tau == pytest.approx(math.log((2.0 * f + 1.0) / (4.0 - 4.0 * f)), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("ratio", [1e-17, 1e-20, 1e-300])
+def test_exponents_below_the_rate_precision_stay_apart(ratio):
+    # 1 + ratio == 1 in floats; merging or ordering exponents on such sums
+    # left a positive constant term, so the state was reported alive at long
+    # horizons and its concurrence overflowed there
+    state, spec = werner_psi(0.7), ChannelSpec("amplitude", 1.0, ratio)
+
+    def concurrence(tau):
+        # under amplitude noise, from x_A = exp(-tau), x_B = exp(-ratio tau)
+        fall_a, fall_b = -math.expm1(-tau), -math.expm1(-ratio * tau)
+        a, b, c, d = state.a, state.b, state.c, state.d
+        ad = a * (fall_a * fall_b * a + fall_a * b + fall_b * c + d)
+        bc = (fall_b * a + b) * (fall_a * a + c)
+        margin = max(0.0, abs(state.z) - math.sqrt(ad), abs(state.w) - math.sqrt(bc))
+        return 2.0 * math.exp(-0.5 * (1.0 + ratio) * tau) * margin
+
+    for horizon in (30.0, 1e3):
+        result = esd_time_numeric(state, spec, horizon=horizon)
+        assert result.status == ALIVE
+        assert result.c_final == pytest.approx(concurrence(horizon), rel=1e-12, abs=0.0)
+    for horizon in (1e3 / ratio, 1.7e308):
+        result = esd_time_numeric(state, spec, horizon=horizon)
+        assert result.status == DIES
+        assert result.time == pytest.approx(math.log(5.0) / ratio, rel=1e-12)
 
 
 def test_numeric_search_initially_separable():
