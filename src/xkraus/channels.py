@@ -2,15 +2,18 @@
 
 Three kinds are supported, each driven by per-qubit damping factors
 gamma = exp(-rate * t / 2), from ``_time_factors`` on every route, and
-omega = sqrt(1 - gamma^2):
+omega = sqrt(1 - gamma^2).  Every kind shrinks each qubit's coherence by
+gamma and maps its (upper, lower) populations by the 2x2 stochastic
+T(x) = T(0) + x (I - T(0)), x = gamma^2.  A kind is its T(0), the map it
+relaxes to, held in the one table ``_MAPS``:
 
-* ``phase``       pure dephasing; populations are untouched and each
-                  coherence picks up one factor of gamma per damped qubit.
-* ``amplitude``   decay of the upper level |+> into |->; population moves
-                  down while coherences shrink.
-* ``equalizing``  symmetric up/down relaxation; each qubit's populations mix
-                  toward 1/2, so every input is driven to the maximally
-                  mixed state.
+* ``phase``       pure dephasing, T(0) = I: populations are untouched.
+* ``amplitude``   decay of |+> into |->: T(0) moves all population down.
+* ``equalizing``  symmetric up/down relaxation: T(0) mixes each qubit to
+                  1/2, driving every input to the maximally mixed state.
+
+The last two are generalized amplitude damping toward the upper-level
+population n = T(0)[0][0], 0 and 1/2 (Al-Qasimi & James, PRA 77, 012117).
 
 The searches and the CLI's grids work in the paper's dimensionless time
 tau = rate_ref * t, rate_ref the larger of the two rates: ``_tau_spec``
@@ -19,8 +22,8 @@ gammas are exp(-(rate / rate_ref) * tau / 2), exactly exp(-tau / 2) at
 equal rates.
 
 ``propagate_x`` evolves X states with one closed-form rule for every kind
-and rate pair: each qubit's populations pass through a 2x2 stochastic map
-and both coherences shrink by gamma_A * gamma_B.  The rule is one kernel,
+and rate pair: each qubit's populations pass through T(x) and both
+coherences shrink by gamma_A * gamma_B.  The rule is one kernel,
 ``_evolve_x``, written with arithmetic operators only: ``propagate_x`` runs
 it on floats, and the CLI's grid commands run it once on numpy arrays of
 start states and per-time factors, with the same rounding.  The explicit
@@ -50,7 +53,13 @@ __all__ = [
     "propagate_x",
 ]
 
-CHANNEL_KINDS = ("phase", "amplitude", "equalizing")
+# Per kind, the rows of T(0) and of T(1) - T(0) = I - T(0) (module docstring)
+_MAPS = {
+    "phase": (((1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 0.0))),
+    "amplitude": (((0.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (-1.0, 0.0))),
+    "equalizing": (((0.5, 0.5), (0.5, 0.5)), ((0.5, -0.5), (-0.5, 0.5))),
+}
+CHANNEL_KINDS = tuple(_MAPS)
 
 _CPTP_REJECT_TOL = 1e-12
 
@@ -84,36 +93,28 @@ def _tau_spec(spec: ChannelSpec) -> ChannelSpec:
 
 def kraus_1q(kind: str, gamma: float) -> list[np.ndarray]:
     """Single-qubit Kraus operators of the given kind at damping factor gamma
-    in [0, 1], with omega = sqrt(1 - gamma^2); each set is trace preserving.
+    in [0, 1], with omega = sqrt(1 - gamma^2); each set is trace preserving
+    and realizes the kind's population map in ``_MAPS``.
 
-    phase: {diag(gamma, 1), diag(omega, 0)}, populations stay put.
-    amplitude: {diag(gamma, 1), omega |-><+|}, the upper-level population
-    survives with weight gamma^2 and the remainder lands in the lower level.
-    equalizing: the decay pair in both directions, halved,
-    {diag(gamma, 1), omega |-><+|, diag(1, gamma), omega |+><-|} / sqrt(2);
-    populations perform a symmetric two-state mix, staying put with
-    probability (1 + gamma^2)/2.  Every kind multiplies the off-diagonal
-    element by gamma.
+    phase: {diag(gamma, 1), diag(omega, 0)}.  The thermal kinds, with n =
+    T(0)[0][0]: the decay pair {diag(gamma, 1), omega |-><+|} weighted by
+    sqrt(1 - n), then the excitation pair {diag(1, gamma), omega |+><-|}
+    weighted by sqrt(n), which is dropped at n = 0.
     """
     omega = math.sqrt(1.0 - gamma * gamma)
-    keep = np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex)
+    keep = [[gamma, 0.0], [0.0, 1.0]]
     if kind == "phase":
-        return [keep, np.array([[omega, 0.0], [0.0, 0.0]], dtype=complex)]
-    decay = np.array([[0.0, 0.0], [omega, 0.0]], dtype=complex)
-    if kind == "amplitude":
-        return [keep, decay]
-    h = 1.0 / math.sqrt(2.0)
-    return [
-        h * keep,
-        h * decay,
-        h * np.array([[1.0, 0.0], [0.0, gamma]], dtype=complex),
-        h * np.array([[0.0, omega], [0.0, 0.0]], dtype=complex),
-    ]
+        pairs = [(1.0, keep, [[omega, 0.0], [0.0, 0.0]])]
+    else:
+        n = _MAPS[kind][0][0][0]
+        pairs = [(1.0 - n, keep, [[0.0, 0.0], [omega, 0.0]]),
+                 (n, [[1.0, 0.0], [0.0, gamma]], [[0.0, omega], [0.0, 0.0]])]
+    return [math.sqrt(p) * np.array(k, dtype=complex) for p, *ops in pairs if p > 0.0 for k in ops]
 
 
 def kraus_set(spec: ChannelSpec, t: float) -> list[np.ndarray]:
     """Kraus operators of the given channel after evolving for time t: all
-    pairwise tensor products of the two qubits' single-qubit sets (4
+    pairwise tensor products of the two qubits' ``kraus_1q`` sets (4
     operators for phase and amplitude, 16 for equalizing)."""
     ops_a, ops_b = (kraus_1q(spec.kind, gamma) for gamma in _time_factors(spec, t))
     return [np.kron(ka, kb) for ka in ops_a for kb in ops_b]
@@ -150,16 +151,12 @@ def apply(rho: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _population_map(kind: str, gamma):
-    """Row-major 2x2 stochastic map T(gamma^2) that one qubit's channel
-    applies to its (upper, lower) populations; gamma may be a numpy array."""
-    g2 = gamma * gamma
-    if kind == "phase":
-        return 1.0, 0.0, 0.0, 1.0
-    if kind == "amplitude":
-        return g2, 0.0, 1.0 - g2, 1.0
-    stay = 0.5 * (1.0 + g2)
-    flip = 0.5 * (1.0 - g2)
-    return stay, flip, flip, stay
+    """Row-major T(0) + x (T(1) - T(0)) of ``_MAPS`` at x = gamma^2, the
+    map one qubit's channel applies to its (upper, lower) populations;
+    gamma may be a numpy array."""
+    x = gamma * gamma
+    ((t00, t01), (t10, t11)), ((d00, d01), (d10, d11)) = _MAPS[kind]
+    return t00 + x * d00, t01 + x * d01, t10 + x * d10, t11 + x * d11
 
 
 def _time_factors(spec: ChannelSpec, t: float) -> tuple[float, float]:
@@ -196,11 +193,10 @@ def propagate_x(state: XState, spec: ChannelSpec, t: float) -> XState:
     """Evolve an X state for time t, staying in the six-parameter form.
 
     With the populations arranged as P = [[a, b], [c, d]] (rows indexed by
-    qubit A's level, columns by B's), the result is T_A P T_B^T, where each
-    qubit's map T(gamma^2) is the identity for phase, [[g2, 0], [1 - g2, 1]]
-    for amplitude and [[s, f], [f, s]] with s, f = (1 +- g2)/2 for
-    equalizing.  Both coherences are multiplied by gamma_A * gamma_B.  The
-    same rule holds for every kind and every rate pair.
+    qubit A's level, columns by B's), the result is T_A P T_B^T, with each
+    qubit's population map T(gamma^2) read off ``_MAPS``.  Both coherences
+    are multiplied by gamma_A * gamma_B.  The same rule holds for every
+    kind and every rate pair.
     """
     gamma_a, gamma_b = _time_factors(spec, t)
     return XState(*_evolve_x(

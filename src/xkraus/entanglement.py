@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import CHANNEL_KINDS, ChannelSpec, _population_map, _tau_spec
+from .channels import ChannelSpec, _MAPS, _tau_spec
 from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff
 from .states import XState, _check_fidelity, _check_number, _finite_real, werner_psi
 
@@ -188,12 +188,7 @@ def esd_time_amplitude_phi_werner(fidelity: float) -> EsdResult:
     return EsdResult.dies(math.log((2.0 * f + 1.0) / (4.0 - 4.0 * f)))
 
 
-# T(0) and T(1) - T(0) per kind, each as two rows: the differences of 0, T(0) and T(1)
-_MAPS = {kind: np.diff([[0.0] * 4, _population_map(kind, 0.0), _population_map(kind, 1.0)], axis=0)
-         .reshape(2, 2, 2).tolist() for kind in CHANNEL_KINDS}
-
-
-def _population(ra: list, rb: list, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+def _population(ra: tuple, rb: tuple, a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     """Coefficients of 1, x_B, x_A and x_A x_B in an entry of T_A P T_B^T,
     P = [[a, b], [c, d]], from its rows ra and rb of T(0) and T(1) - T(0),
     each summed as einsum sums it: (m0 a n0 + m0 b n1) + (m1 c n0 + m1 d n1)."""
@@ -233,7 +228,7 @@ class _Expansion:
     """Both branches of an evolving X state's margin as sums of exponentials.
 
     With x = gamma^2 per qubit, each qubit's population map is
-    T(x) = T(0) + x (T(1) - T(0)) (_MAPS keeps both maps per kind), so
+    T(x) = T(0) + x (T(1) - T(0)), both read off the channel table _MAPS, so
     every evolved population is bilinear in (1, x_A) x (1, x_B)
     (_population), and both coherences scale as x_A x_B.  Each branch's
     squared margin, |z|^2 x_A x_B - a'd' or |w|^2 x_A x_B - b'c', has the
@@ -322,7 +317,8 @@ def esd_time_numeric(
     (_Expansion.death) or, where none applies, by bisecting [0, horizon].
     The horizon, tol and the result are all in tau.  The same path serves
     every channel kind and rate pair, including a zero rate.  A state with
-    zero initial concurrence is reported separable outright.
+    zero initial concurrence is reported separable outright; an entangled
+    one whose expansion rounds that margin away raises NumericalFailureError.
     """
     horizon = _check_number("horizon", horizon, positive=True)
     tol = _check_number("tol", tol, positive=True)
@@ -330,6 +326,8 @@ def esd_time_numeric(
     if concurrence_x(state) <= 0.0:
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
+    if not expansion.entangled(0.0):
+        raise NumericalFailureError("the initial margin was lost to rounding in the sudden-death expansion")
     if expansion.entangled(horizon):
         return EsdResult.alive_at_horizon(horizon, expansion.concurrence(horizon))
     tau = expansion.death()

@@ -8,6 +8,7 @@ import pytest
 from xkraus.channels import (
     CHANNEL_KINDS,
     ChannelSpec,
+    _population_map,
     _time_factors,
     apply,
     check_cptp,
@@ -68,6 +69,56 @@ def test_kraus_set_sizes():
         ops = kraus_set(ChannelSpec(kind), 0.7)
         assert len(ops) == count
         assert all(k.shape == (4, 4) for k in ops)
+
+
+def _paper_map(kind: str, x):
+    """The paper's population map of each kind at x = gamma^2, row-major."""
+    if kind == "phase":
+        return 1.0, 0.0, 0.0, 1.0
+    if kind == "amplitude":
+        return x, 0.0, 1.0 - x, 1.0
+    s, f = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    return s, f, f, s
+
+
+def _paper_kraus(kind: str, gamma: float) -> list[np.ndarray]:
+    """The paper's single-qubit Kraus sets, written out per kind."""
+    omega = math.sqrt(1.0 - gamma * gamma)
+    keep = np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex)
+    if kind == "phase":
+        return [keep, np.array([[omega, 0.0], [0.0, 0.0]], dtype=complex)]
+    decay = np.array([[0.0, 0.0], [omega, 0.0]], dtype=complex)
+    if kind == "amplitude":
+        return [keep, decay]
+    h = 1.0 / math.sqrt(2.0)
+    rise = np.array([[0.0, omega], [0.0, 0.0]], dtype=complex)
+    return [h * keep, h * decay, h * np.array([[1.0, 0.0], [0.0, gamma]], dtype=complex), h * rise]
+
+
+def test_channel_table_reproduces_the_paper_maps_bit_for_bit():
+    # the channel table (T(0) and T(1) - T(0) per kind) is the only statement
+    # of each kind's population map; the literal maps above pin it, on 1e5
+    # seeded gammas plus those with x = 0, 1, 5e-324 and 1e-300, as floats
+    # and as one array, by their bytes, so that signed zeros count too
+    specials = [math.sqrt(x) for x in (0.0, 1.0, 5e-324, 1e-300)]
+    assert [g * g for g in specials] == [0.0, 1.0, 5e-324, 1e-300]
+    gammas = np.concatenate([specials, np.random.default_rng(12).random(100_000)])
+    for kind in CHANNEL_KINDS:
+        scalar = [_population_map(kind, g) for g in gammas.tolist()]
+        assert np.array(scalar).tobytes() == np.array([_paper_map(kind, g * g) for g in gammas.tolist()]).tobytes()
+        batch = np.broadcast_arrays(*_population_map(kind, gammas), gammas)[:4]
+        paper = np.broadcast_arrays(*_paper_map(kind, gammas * gammas), gammas)[:4]
+        assert np.array(batch).tobytes() == np.array(paper).tobytes()
+    # the Kraus sets: phase and amplitude exactly, equalizing within 2^-53
+    # (its weight sqrt(1/2) is correctly rounded, 1/sqrt(2) one ulp below)
+    for gamma in gammas[:1000].tolist():
+        for kind in CHANNEL_KINDS:
+            ops, paper = np.array(kraus_1q(kind, gamma)), np.array(_paper_kraus(kind, gamma))
+            assert ops.shape == paper.shape
+            if kind == "equalizing":
+                assert np.max(np.abs(ops - paper)) <= 2.0 ** -53
+            else:
+                assert ops.tobytes() == paper.tobytes()
 
 
 def test_kraus_sets_are_trace_preserving():

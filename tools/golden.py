@@ -9,8 +9,9 @@ imports ``xkraus`` from the source directory SRC (say ``src``, or the
     sha256(stdout) sha256(stderr) exit-code argv
 
 The set is the benchmark's command lists (``bench/workloads.py``, both
-workloads, seeds 1-5), ``verify`` in text and JSON, a list of usage and
-domain errors, and the parser's own prints (``--version``, the top-level
+workloads, seeds 1-5), ``verify`` in text and JSON, the reproducers of
+fixed defects, a list of usage and domain errors, and the parser's own
+prints (``--version``, the top-level
 ``--help`` and every subcommand's ``--help``, at ``COLUMNS=80`` so that they
 do not depend on the terminal).  Two checkouts agree where their lines agree:
 
@@ -28,6 +29,18 @@ import sys
 from pathlib import Path
 
 SEEDS = range(1, 6)
+
+# the reproducers of fixed defects, each once a wrong answer or a crash
+FIXED = [
+    ["esd", "--channel", "amplitude", "--family", "werner-psi", "--fidelity", "0.7",
+     "--rate-b", "1e-17", "--horizon", "1e21"],
+    ["esd", "--channel", "equalizing", "--family", "werner-psi", "--fidelity", "0.75",
+     "--rate-a", "0", "--rate-b", "1e9", "--rate", "1e-320"],
+    ["esd", "--channel", "amplitude", "--family", "custom-x",
+     "--x-params", "1e-61,0.5,0.5,1e-61,1.5e-61,0,0,0", "--tol", "1e-300", "--format", "json"],
+    ["esd", "--channel", "amplitude", "--family", "werner-phi", "--fidelity", "0.5000000000000001",
+     "--rate-b", "1e-20", "--horizon", "1e-300"],
+]
 
 ERRORS = [
     [],
@@ -67,7 +80,7 @@ def _command_set() -> list[list[str]]:
     from workloads import WORKLOADS, commands
 
     argvs = [cmd.argv for w in WORKLOADS for seed in SEEDS for cmd in commands(w, seed)]
-    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + ERRORS + PRINTS
+    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + FIXED + ERRORS + PRINTS
 
 
 def _digest(text: str) -> str:
