@@ -10,9 +10,13 @@ Subcommands:
     verify             run the library self-checks
 
 ``_COMMANDS`` maps each subcommand to its handler, help and ``_Opt`` options;
-these tables are the only source of flags and values.  ``main`` reuses one
-parser per process, built from them by ``_build_parser``.  Flag text and
-``--config`` values pass the same ``_Opt.parse``; a bad value exits 2 with
+these tables are the only source of flags and values.  ``main`` reads a
+well-formed command line, ``command (--flag value)*`` with every flag spelled
+as in that command's table and no value starting with ``-``, straight from
+the tables (``_scan``).  Every other command line goes to argparse, whose one
+parser per process ``_build_parser`` builds from the same tables, so argparse
+writes all help, usage and error text.  Flag text and ``--config`` values
+pass the same ``_Opt.parse``; a bad value exits 2 with
 ``error: --flag: <rule>`` or ``error: config key 'key': <rule>``.
 A handler writes nothing: it returns its exit code and an iterable of text
 chunks, and ``main`` writes the chunks to stdout or ``--out``.  The report
@@ -35,7 +39,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator
@@ -114,14 +118,12 @@ class _Opt:
     default: Any
     help: str
     rule: _Rule = _ANY
+    key: str = field(init=False)
+    dest: str = field(init=False)
 
-    @property
-    def key(self) -> str:
-        return self.flag[2:]
-
-    @property
-    def dest(self) -> str:
-        return self.key.replace("-", "_")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", self.flag[2:])
+        object.__setattr__(self, "dest", self.key.replace("-", "_"))
 
     def parse(self, text: str, source: str) -> Any:
         """Convert text and check the rule; errors are prefixed by source."""
@@ -173,14 +175,13 @@ def _load_config(path: str) -> dict[str, str]:
 def _merge_options(ns: argparse.Namespace) -> dict[str, Any]:
     """The command's option values by dest: flag over config key over
     default."""
-    opts = _COMMANDS[ns.command].opts
+    command = _COMMANDS[ns.command]
     config = _load_config(ns.config) if ns.config is not None else {}
-    known = {o.key for o in opts if o.key != "config"}
     for key in config:
-        if key not in known:
+        if key not in command.keys:
             raise ValueError(f"unknown config key {key!r} for command {ns.command}")
     values: dict[str, Any] = {}
-    for opt in opts:
+    for opt in command.opts:
         given = getattr(ns, opt.dest)
         if given is not None:
             values[opt.dest] = opt.parse(given, opt.flag)
@@ -500,9 +501,18 @@ def cmd_verify(values: dict[str, Any]) -> tuple[int, list[str]]:
 
 @dataclass(frozen=True)
 class _Command:
+    """A subcommand: handler, help and options, with each option's dest by
+    its flag (the flags ``_scan`` reads) and the config keys it accepts."""
+
     run: Callable[[dict[str, Any]], tuple[int, Iterable[str]]]
     help: str
     opts: tuple[_Opt, ...]
+    flags: dict[str, str] = field(init=False, compare=False)
+    keys: frozenset[str] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "flags", {opt.flag: opt.dest for opt in self.opts})
+        object.__setattr__(self, "keys", frozenset(opt.key for opt in self.opts if opt.key != "config"))
 
 
 _COMMANDS: dict[str, _Command] = {
@@ -554,12 +564,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scan(argv: list[str] | None) -> argparse.Namespace | None:
+    """The namespace argparse would build for ``command (--flag value)*``
+    with each flag exactly one of the command's and no value starting with
+    ``-``; None for any other argv (argv None reads sys.argv[1:]), which
+    argparse then parses, so it alone writes help, usage and errors."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    given = dict.fromkeys(command.flags.values())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        dest = command.flags.get(flag)
+        if dest is None or value.startswith("-"):
+            return None
+        given[dest] = value
+    return argparse.Namespace(command=argv[0], **given)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code is None else int(exc.code)
+    ns = _scan(argv)
+    if ns is None:
+        try:
+            ns = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code is None else int(exc.code)
     try:
         values = _merge_options(ns)
         code, chunks = _COMMANDS[ns.command].run(values)

@@ -88,6 +88,30 @@ def test_importing_the_cli_builds_no_parser():
     assert done.stdout == "0\n"
 
 
+def test_benchmark_command_lines_never_build_the_parser(tmp_path):
+    # a fresh process runs one seed of both workloads' command lists, all
+    # well formed, so argparse is never built; one usage error builds it once
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xkraus.__file__)))
+    code = (
+        "import os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from workloads import WORKLOADS, commands\n"
+        "from xkraus import cli\n"
+        "argvs = [cmd.argv for w in WORKLOADS for cmd in commands(w, 1)]\n"
+        "codes = {cli.main(argv + ['--out', os.path.join(sys.argv[2], f'{i}.out')]) for i, argv in enumerate(argvs)}\n"
+        "print(len(argvs), codes, cli._build_parser.cache_info().misses)\n"
+        "print(cli.main(['esd', '--bogus']), cli._build_parser.cache_info().misses)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(root / "bench"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "108 {0} 0\n2 1\n"
+    assert "unrecognized arguments: --bogus" in done.stderr
+
+
 def test_evolve_csv_shape_and_values(capsys):
     code, out, _ = run(
         capsys, "evolve", "--channel", "phase", "--fidelity", "0.8",
@@ -638,6 +662,9 @@ def test_parser_registers_exactly_the_table_flags():
     for name, parser in sub.choices.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == {opt.flag for opt in cli._COMMANDS[name].opts}, name
+        # the scan's table: the same flags, each to the dest argparse stores it in
+        dests = {flag: action.dest for action in parser._actions for flag in action.option_strings}
+        assert {f: d for f, d in dests.items() if f not in ("-h", "--help")} == cli._COMMANDS[name].flags, name
 
 
 HANDLER_ARGV = {
@@ -724,6 +751,73 @@ def test_fuzzed_argv_exits_with_a_documented_code():
             assert {2: "error: ", 3: "numerical failure: "}[code] in err.getvalue(), argv
         codes[code] += 1
     assert min(codes.values()) > 0
+
+
+_SCAN_MUTATIONS = ("abbreviated", "equals", "repeated", "dash", "negative", "foreign", "odd", "help", "version", "double-dash")
+
+
+def _mutated(argv: list[str], kind: str, rng: random.Random) -> list[str]:
+    """A _fuzz_argv list in a shape _scan leaves to argparse, or, for
+    "repeated", with one flag given twice (the last one wins)."""
+    pairs = [argv[i:i + 2] for i in range(1, len(argv), 2)]
+    i = rng.randrange(len(pairs))
+    flag, value = pairs[i]
+    if kind == "abbreviated":
+        prefixes = [flag[:k] for k in range(3, len(flag)) if flag[:k] not in cli._COMMANDS[argv[0]].flags]
+        pairs[i] = [rng.choice(prefixes), value]
+    elif kind == "equals":
+        pairs[i] = [f"{flag}={value}"]
+    elif kind == "repeated":
+        pairs.insert(rng.randrange(len(pairs) + 1), [flag, rng.choice(pairs)[1]])
+    elif kind in ("dash", "negative"):
+        pairs[i] = [flag, "-" if kind == "dash" else "-" + value]
+    elif kind == "foreign":
+        others = {opt.flag for c in cli._COMMANDS.values() for opt in c.opts} - cli._COMMANDS[argv[0]].flags.keys()
+        pairs.insert(i, [rng.choice(sorted(others)), "3"])
+    tokens = [argv[0], *(token for pair in pairs for token in pair)]
+    extra = {"help": rng.choice(("-h", "--help")), "version": "--version", "double-dash": "--"}
+    if kind in extra:
+        tokens.insert(rng.randrange(1, len(tokens) + 1), extra[kind])
+    return tokens[:-1] if kind == "odd" else tokens
+
+
+def test_scan_builds_what_argparse_builds(monkeypatch):
+    # the fuzz lists, each as given and once mutated, cycling through
+    # _SCAN_MUTATIONS: the scan reads exactly the well-formed ones and the
+    # repeated flags, into the namespace argparse builds, and main's exit
+    # code and output do not depend on which of the two parsed the argv
+    def parsed(argv: list[str]) -> dict | None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return vars(cli._build_parser().parse_args(argv))
+            except SystemExit:
+                return None
+
+    def outcomes(argvs: list[list[str]]) -> list[tuple[int, str, str]]:
+        results = []
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                results.append((main(argv), out.getvalue(), err.getvalue()))
+        return results
+
+    rng = random.Random(2005)
+    cases = []
+    for i in range(2500):
+        argv = _fuzz_argv(rng)
+        kind = _SCAN_MUTATIONS[i % len(_SCAN_MUTATIONS)]
+        cases += [("given", argv), (kind, _mutated(argv, kind, rng))]
+    for kind, argv in cases:
+        ns = cli._scan(argv)
+        assert (ns is not None) == (kind in ("given", "repeated")), (kind, argv)
+        if ns is not None:
+            assert vars(ns) == parsed(argv), argv
+    monkeypatch.setattr(sys, "argv", ["xkraus", *cases[0][1]])
+    assert vars(cli._scan(None)) == parsed(None)
+    argvs = [argv for _, argv in cases]
+    scanned = outcomes(argvs)
+    monkeypatch.setattr(cli, "_scan", lambda argv: None)
+    assert outcomes(argvs) == scanned
 
 
 def _judged(values: dict, start: XState) -> bool:

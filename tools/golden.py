@@ -10,7 +10,8 @@ imports ``xkraus`` from the source directory SRC (say ``src``, or the
 
 The set is the benchmark's command lists (``bench/workloads.py``, both
 workloads, seeds 1-5), ``verify`` in text and JSON, the reproducers of
-fixed defects, a list of usage and domain errors, and the parser's own
+fixed defects, a list of usage and domain errors, argv shapes beside the
+well-formed one, and the parser's own
 prints (``--version``, the top-level
 ``--help`` and every subcommand's ``--help``, at ``COLUMNS=80`` so that they
 do not depend on the terminal).  Two checkouts agree where their lines agree:
@@ -70,6 +71,20 @@ ERRORS = [
     ["verify", "--seed", "x"],
 ]
 
+# argv shapes next to the well-formed ones: a repeated flag (scanned, the
+# last one wins) and, left to argparse, an abbreviation, --flag=value and
+# the value "-", which run, then four usage errors
+FORMS = [
+    ["esd", "--channel", "phase", "--fidelity", "0.9", "--fidelity", "0.8"],
+    ["esd", "--channel", "phase", "--fid", "0.8"],
+    ["esd", "--channel", "phase", "--fidelity=0.8"],
+    ["esd", "--channel", "phase", "--fidelity", "0.8", "--out", "-"],
+    ["esd", "--version"],
+    ["esd", "--channel", "phase", "--fidelity", "0.8", "--steps", "3"],
+    ["esd", "--channel"],
+    ["esd", "--channel", "phase", "--", "--fidelity", "0.8"],
+]
+
 PRINTS = [["--version"], ["--help"]] + [
     [name, "--help"] for name in ("evolve", "sweep", "esd", "critical-fidelity", "demo-local-ops", "verify")
 ]
@@ -80,7 +95,7 @@ def _command_set() -> list[list[str]]:
     from workloads import WORKLOADS, commands
 
     argvs = [cmd.argv for w in WORKLOADS for seed in SEEDS for cmd in commands(w, seed)]
-    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + FIXED + ERRORS + PRINTS
+    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + FIXED + ERRORS + FORMS + PRINTS
 
 
 def _digest(text: str) -> str:
