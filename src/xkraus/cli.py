@@ -146,7 +146,7 @@ _OPT_RATE_B = _Opt("--rate-b", _finite_float, 1.0, "decay rate of qubit B (defau
 _OPT_TAU_MAX = _Opt("--tau-max", _finite_float, None, "largest tau = rate*t on the grid (default 5 for phase, 10 otherwise)", _POSITIVE)
 _OPT_STEPS = _Opt("--steps", int, 201, "time grid points including both endpoints (default 201)", _GRID_POINTS)
 _OPT_HORIZON = _Opt("--horizon", _finite_float, _DEFAULT_HORIZON, f"search horizon in tau = rate*t (default {_DEFAULT_HORIZON:g})", _POSITIVE)
-_OPT_TOL = _Opt("--tol", _finite_float, _DEFAULT_TOL, f"bisection tolerance (default {_DEFAULT_TOL:g})", _POSITIVE)
+_OPT_TOL = _Opt("--tol", _finite_float, _DEFAULT_TOL, f"width of the search's final bracket, in tau or in F (default {_DEFAULT_TOL:g})", _POSITIVE)
 _OPT_OUT = _Opt("--out", str, "-", "output path, - for stdout (default -)")
 _OPT_GRID_FORMAT = _Opt("--format", str, "csv", "output format: csv or json (default csv)", _one_of("csv", "json"))
 _OPT_REPORT_FORMAT = _Opt("--format", str, "text", "output format: text or json (default text)", _one_of("text", "json"))

@@ -13,7 +13,7 @@ concurrence can hit zero at a finite time and stay there; local channels
 cannot recreate entanglement, so the searches below need only an exact sign
 test, on an expansion that neither cancels nor underflows (_Expansion), and
 a death time in closed form where a branch is quadratic, or else one
-bisection (_bisect).  Every time here (horizons, time tolerances and
+root search (_root).  Every time here (horizons, time tolerances and
 results) is the dimensionless tau = rate_ref * t, with rate_ref the larger
 of the two channel rates.  The paper states its death times in the same
 unit, so no result is scaled by rate_ref.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, partial
 from itertools import groupby, product
 from typing import Callable
 
@@ -141,18 +141,30 @@ class EsdResult:
         return cls(status=SEPARABLE)
 
 
-def _bisect(holds: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
-    """Midpoint of [lo, hi], where holds(lo) and not holds(hi), after
-    halving it down to width tol, or to adjacent floats where their spacing
-    exceeds tol."""
-    mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+def _root(value: Callable[[float], float], good: float, bad: float, tol: float) -> float | None:
+    """Midpoint of a bracket, value(good) > 0 >= value(bad) with either end
+    the lower, shrunk by Illinois false position to width tol, or to adjacent
+    floats; None if the ends lack those signs.  A step falls back to the
+    midpoint where the interpolated point is not strictly inside, or where
+    the bracket failed to halve in three steps: at worst 4x bisection's."""
+    vg, vb = value(good), value(bad)
+    if not vg > 0.0 >= vb:
+        return None
+    side, widths = 0, (math.inf,) * 3
+    while True:
+        lo, hi = min(good, bad), max(good, bad)
         mid = 0.5 * (lo + hi)
-    return mid
+        if not (hi - lo > tol and lo < mid < hi):
+            return mid
+        x = good + (bad - good) * (vg / (vg - vb)) if vg > vb else mid
+        if not lo < x < hi or hi - lo > 0.5 * widths[0]:
+            x = mid
+        widths = widths[1:] + (hi - lo,)
+        vx = value(x)
+        if vx > 0.0:  # Illinois: an end kept twice running has its value halved
+            good, vg, vb, side = x, vx, vb * 0.5 if side > 0 else vb, 1
+        else:
+            bad, vb, vg, side = x, vx, vg * 0.5 if side < 0 else vg, -1
 
 
 def esd_time_phase_werner(fidelity: float, *, horizon: float = _DEFAULT_HORIZON) -> EsdResult:
@@ -267,6 +279,10 @@ class _Expansion:
     def entangled(self, tau: float) -> bool:
         return any(self._shifted(terms, tau) > 0.0 for _, _, terms in self.branches)
 
+    def positive(self, tau: float) -> list[tuple[float, float]]:
+        """The terms of the branch positive at tau (an X state has at most one)."""
+        return next((t for _, _, t in self.branches if self._shifted(t, tau) > 0.0), [])
+
     def concurrence(self, tau: float) -> float:
         """Concurrence without cancellation: C = 2 gamma_A gamma_B u /
         (|coh| + sqrt(|coh|^2 - u)) on the positive branch (an X state has
@@ -285,7 +301,7 @@ class _Expansion:
         y = exp(-delta tau): -ln(y) / delta, y its largest root in (0, 1)
         by the quadratic formula in its cancellation-free form.  None for
         any other branch, or if there is no such root."""
-        terms = next((t for _, _, t in self.branches if self._shifted(t, 0.0) > 0.0), ())
+        terms = self.positive(0.0)
         if len(terms) == 2:
             (c0, _), (c1, delta) = terms
             roots = [-c0 / c1]
@@ -313,8 +329,8 @@ def esd_time_numeric(
     Entanglement, once lost, never returns under local channels, so one
     exact sign test at the horizon decides the fate: a state still
     entangled there is reported alive with its concurrence, computed
-    without cancellation; otherwise the death time comes in closed form
-    (_Expansion.death) or, where none applies, by bisecting [0, horizon].
+    without cancellation; otherwise the initially positive branch dies in
+    closed form (_Expansion.death) or at its root in [0, horizon] (_root).
     The horizon, tol and the result are all in tau.  The same path serves
     every channel kind and rate pair, including a zero rate.  A state with
     zero initial concurrence is reported separable outright; an entangled
@@ -332,7 +348,7 @@ def esd_time_numeric(
         return EsdResult.alive_at_horizon(horizon, expansion.concurrence(horizon))
     tau = expansion.death()
     if tau is None or not tau <= horizon:
-        tau = _bisect(expansion.entangled, 0.0, horizon, tol)
+        tau = _root(partial(_Expansion._shifted, expansion.positive(0.0)), 0.0, horizon, tol)
     return EsdResult.dies(tau)
 
 
@@ -348,26 +364,27 @@ def critical_fidelity_amplitude() -> float:
 
 
 def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = _DEFAULT_TOL) -> float:
-    """Locate the survival boundary by bisecting the fidelity axis.
+    """Locate the survival boundary on the fidelity axis.
 
     Each probe classifies werner_psi(F) under equal-rate amplitude noise
     by one exact sign test: separable at the horizon means it died within
     it.  A finite horizon (in tau) classifies very slow deaths as survival,
     which biases the returned boundary slightly below the analytic value;
-    at horizon 60 the bias is far below f_tol.  The bracket is bisected
-    like a death time (_bisect).
+    at horizon 60 the bias is far below f_tol.  The death times' _root runs
+    on the largest shifted branch sum there, positive iff entangled.
     """
     f_tol = _check_number("f_tol", f_tol, positive=True)
     horizon = _check_number("horizon", horizon, positive=True)
     spec = ChannelSpec("amplitude")  # equal rates 1: its time is already tau
 
-    def dies(f: float) -> bool:
-        return not _Expansion(werner_psi(f), spec).entangled(horizon)
+    def margin(f: float) -> float:
+        branches = _Expansion(werner_psi(f), spec).branches
+        return max((_Expansion._shifted(terms, horizon) for _, _, terms in branches), default=0.0)
 
     lo, hi = 0.55, 0.95
-    if not dies(lo) or dies(hi):
+    if (f := _root(margin, hi, lo, f_tol)) is None:
         raise NumericalFailureError(
             f"fidelity bracket [{lo}, {hi}] failed to classify as die/survive "
             f"at horizon {horizon}"
         )
-    return _bisect(dies, lo, hi, f_tol)
+    return f

@@ -19,8 +19,9 @@ from xkraus import (
     ChannelSpec, XState, __version__, concurrence_x, kraus_set, propagate_x, werner_phi, werner_psi,
 )
 from xkraus import cli
-from xkraus.channels import CHANNEL_KINDS
+from xkraus.channels import CHANNEL_KINDS, _tau_spec
 from xkraus.cli import main
+from xkraus.entanglement import _Expansion
 
 LN_5_5 = 1.7047480922384253
 
@@ -564,6 +565,52 @@ def test_critical_fidelity_below_float_spacing_returns():
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
     assert abs(doc["numeric"] - doc["analytic"]) < 1e-15
+
+
+def _run_json_child(*argv: str) -> dict:
+    # a child process with a timeout turns a search that never closes its
+    # bracket into a failure
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xkraus.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "xkraus", *argv, "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _next_to_a_sign_change(value, x: float) -> bool:
+    """Whether value changes sign between x and one of its adjacent floats:
+    the midpoint a search returns once its bracket is two adjacent floats."""
+    return any((value(x) > 0.0) != (value(math.nextafter(x, end)) > 0.0) for end in (-math.inf, math.inf))
+
+
+def test_root_search_at_the_smallest_tolerance_stops_at_adjacent_floats():
+    # near adjacent floats a false-position point rounds onto an end of the
+    # bracket and moves nothing; unless that step falls back to the
+    # midpoint, a width of 5e-324 is never reached.  Werner states under
+    # equalizing noise die in closed form at any rates, so the equalizing
+    # case is a custom X state
+    for argv, state, kind in (
+        (("--channel", "amplitude", "--family", "werner-psi", "--fidelity", "0.7"), werner_psi(0.7), "amplitude"),
+        (("--channel", "equalizing", "--family", "custom-x", "--x-params", "0.1,0.3,0.4,0.2,0.3,0,0,0"),
+         XState(0.1, 0.3, 0.4, 0.2, z=0.3), "equalizing"),
+    ):
+        doc = _run_json_child("esd", *argv, "--rate-b", "2.5", "--tol", "5e-324")
+        assert doc["numeric"]["status"] == "dies"
+        expansion = _Expansion(state, _tau_spec(ChannelSpec(kind, rate_a=1.0, rate_b=2.5)))
+        assert expansion.death() is None  # the root finder, not the closed form
+        terms = expansion.positive(0.0)
+        assert _next_to_a_sign_change(lambda tau: _Expansion._shifted(terms, tau), doc["numeric"]["tau"])
+
+    doc = _run_json_child("critical-fidelity", "--tol", "5e-324")
+    assert abs(doc["numeric"] - doc["analytic"]) < 1e-15
+
+    def margin(f: float) -> float:
+        branches = _Expansion(werner_psi(f), ChannelSpec("amplitude")).branches
+        return max(_Expansion._shifted(terms, 60.0) for _, _, terms in branches)
+
+    assert _next_to_a_sign_change(margin, doc["numeric"])
 
 
 def test_critical_fidelity_reports(capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xkraus import entanglement
 from xkraus.channels import CHANNEL_KINDS, ChannelSpec, _population_map, _tau_spec, propagate_x
 from xkraus.entanglement import (
     ALIVE,
@@ -15,7 +16,7 @@ from xkraus.entanglement import (
     SEPARABLE,
     EsdResult,
     _Expansion,
-    _bisect,
+    _root,
     concurrence_general,
     concurrence_x,
     critical_fidelity_amplitude,
@@ -401,6 +402,19 @@ def test_expansion_equals_the_einsum_build_bit_for_bit():
     assert built == 3 * 3 * 4 * 40
 
 
+def _bisect(holds, lo, hi, tol):
+    """Reference oracle: midpoint of [lo, hi], where holds(lo) and not
+    holds(hi), after halving it down to width tol, or to adjacent floats."""
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def test_closed_form_death_agrees_with_bisection():
     # phase noise at any rates, and amplitude or equalizing noise at equal
     # rates or with one rate zero, leave a linear or quadratic branch
@@ -427,6 +441,58 @@ def test_closed_form_death_agrees_with_bisection():
         state = XState(a, 0.35 - a / 2, 0.35 - a / 2, 0.3, 1.2 * math.sqrt(0.3 * a))
         expansion = _Expansion(state, _tau_spec(ChannelSpec("amplitude")))
         assert abs(expansion.death() - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
+
+
+def test_unequal_rate_deaths_match_bisection_in_fewer_evaluations(monkeypatch):
+    # at unequal nonzero rates, amplitude noise and most equalizing starts
+    # leave no closed form; the root finder lands within tol of the
+    # reference bisection, in far fewer evaluations and never more
+    counts = []
+
+    def counted_root(value, good, bad, tol):
+        def counted(x):
+            counts[-1] += 1
+            return value(x)
+
+        counts.append(0)
+        return _root(counted, good, bad, tol)
+
+    monkeypatch.setattr(entanglement, "_root", counted_root)
+    rng = np.random.default_rng(14)
+    tol, compared = 1e-10, 0
+    for kind, family, horizon, _ in itertools.product(
+        ("amplitude", "equalizing"), ("werner-psi", "werner-phi", "custom-x"), (20.0, 60.0, 200.0), range(30),
+    ):
+        state, spec = _seeded_starts(rng, kind, family, "unequal")
+        expansion = _Expansion(state, spec)
+        if concurrence_x(state) <= 0.0 or expansion.entangled(horizon) or expansion.death() is not None:
+            continue
+        steps = []
+
+        def holds(tau):
+            steps.append(tau)
+            return expansion.entangled(tau)
+
+        reference = _bisect(holds, 0.0, horizon, tol)
+        assert abs(esd_time_numeric(state, spec, horizon=horizon, tol=tol).time - reference) <= tol
+        assert counts[-1] <= len(steps)
+        compared += 1
+    assert compared == len(counts) > 150
+    assert sum(counts) / len(counts) <= 16
+
+
+def test_critical_fidelity_builds_few_expansions(monkeypatch):
+    built = []
+
+    class Counted(_Expansion):
+        def __init__(self, state, spec):
+            built.append(state)
+            super().__init__(state, spec)
+
+    monkeypatch.setattr(entanglement, "_Expansion", Counted)
+    numeric = critical_fidelity_numeric()
+    assert len(built) <= 14
+    assert abs(numeric - critical_fidelity_amplitude()) <= 1e-15
 
 
 def test_closed_form_death_matches_the_paper_to_the_last_digits():

@@ -10,7 +10,8 @@ imports ``xkraus`` from the source directory SRC (say ``src``, or the
 
 The set is the benchmark's command lists (``bench/workloads.py``, both
 workloads, seeds 1-5), ``verify`` in text and JSON, the reproducers of
-fixed defects, a list of usage and domain errors, argv shapes beside the
+fixed defects, root searches beyond the benchmark's horizons and
+tolerances, a list of usage and domain errors, argv shapes beside the
 well-formed one, and the parser's own
 prints (``--version``, the top-level
 ``--help`` and every subcommand's ``--help``, at ``COLUMNS=80`` so that they
@@ -41,6 +42,23 @@ FIXED = [
      "--x-params", "1e-61,0.5,0.5,1e-61,1.5e-61,0,0,0", "--tol", "1e-300", "--format", "json"],
     ["esd", "--channel", "amplitude", "--family", "werner-phi", "--fidelity", "0.5000000000000001",
      "--rate-b", "1e-20", "--horizon", "1e-300"],
+]
+
+# the root searches beyond the benchmark's horizons and tolerances: the
+# survival boundary at short and long horizons and a coarse tol, and deaths
+# at unequal rates, which no closed form covers, at a coarse and a fine tol
+SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200")] + [
+    ["critical-fidelity", "--tol", "1e-6", "--format", "json"],
+] + [
+    ["esd", "--channel", kind, *state, "--rate-b", "2.5", "--tol", tol, "--format", "json"]
+    for tol in ("1e-3", "1e-14")
+    for kind, state in (
+        ("amplitude", ("--family", "werner-psi", "--fidelity", "0.7")),
+        ("amplitude", ("--family", "werner-phi", "--fidelity", "0.9")),
+        ("amplitude", ("--family", "custom-x", "--x-params", "0.4,0.1,0.2,0.3,0,0,0.3,0")),
+        ("equalizing", ("--family", "custom-x", "--x-params", "0.1,0.3,0.4,0.2,0.3,0,0,0")),
+        ("equalizing", ("--family", "custom-x", "--x-params", "0.05,0.45,0.35,0.15,0.35,0,0,0")),
+    )
 ]
 
 ERRORS = [
@@ -95,7 +113,7 @@ def _command_set() -> list[list[str]]:
     from workloads import WORKLOADS, commands
 
     argvs = [cmd.argv for w in WORKLOADS for seed in SEEDS for cmd in commands(w, seed)]
-    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + FIXED + ERRORS + FORMS + PRINTS
+    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + FIXED + SEARCHES + ERRORS + FORMS + PRINTS
 
 
 def _digest(text: str) -> str:
