@@ -25,6 +25,10 @@ names.  ``evolve`` and ``sweep`` share ``_grid``: it evolves every start
 state in one broadcast pass of the ``propagate_x`` kernel, checks every
 evolved state, and only then returns the CSV, or JSON byte-identical to
 ``json.dumps(doc, indent=2)``, as a generator of one chunk per start state.
+It renders each distinct value once (``_grid_chunks``): the tau axis once
+per grid, a column constant along tau once per start, one constant across
+the starts once per grid, and a column bit-for-bit equal to an earlier one
+with that column's text; every other cell is formatted inside the row.
 A command that fails writes nothing.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
@@ -41,7 +45,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -245,15 +249,11 @@ def _default_tau_max(values: dict[str, Any]) -> float:
     return 5.0 if values["channel"] == "phase" else 10.0
 
 
-# One grid row as CSV and as a json.dumps(indent=2) record: floats go through
-# '%.12g' (as format(x, '.12g') does) and '%r' (float.__repr__, as json does);
-# the fidelity arrives as text, since a custom-x start has none.
-_CSV_ROW = ",".join("%s" if key == "fidelity" else "%.12g" for key in _CSV_FIELDS) + "\n"
-_JSON_RECORD = (
-    "    {\n"
-    + ",\n".join(f'      "{key}": %{"s" if key == "fidelity" else "r"}' for key in _CSV_FIELDS)
-    + "\n    }"
-)
+# One grid row as CSV and as a json.dumps(indent=2) record, with one %s per
+# field for its cell; a float cell is '%.12g' (as format(x, '.12g') does) in
+# CSV and '%r' (float.__repr__, as json does) in JSON.
+_CSV_ROW = ",".join(["%s"] * len(_CSV_FIELDS)) + "\n"
+_JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _CSV_FIELDS) + "\n    }"
 
 
 def _grid(
@@ -273,7 +273,10 @@ def _grid(
     of _tau_spec, so every number rounds as in the float rule at time tau;
     np.hypot of a coherence equals abs() of the complex.  Every evolved state
     passes the XState check before this returns; the rows are then
-    rendered while written, one chunk per start.
+    rendered while written, one chunk per start, each distinct value once
+    (_grid_chunks): the tau axis per grid, a column constant along tau per
+    start, one constant across starts per grid, and one bit-for-bit equal
+    to an earlier column not at all.
     """
     tau_spec = _tau_spec(spec)
     taus = np.linspace(0.0, tau_end, values["steps"]).tolist()
@@ -283,7 +286,8 @@ def _grid(
     abs_z, abs_w = np.hypot(z.real, z.imag), np.hypot(w.real, w.imag)
     cols = [np.broadcast_to(x, (len(starts), len(taus))) for x in (a, b, c, d, abs_z, abs_w)]
     _check_x(*cols)
-    cols.insert(0, 2.0 * _margin(*cols, _larger, np.sqrt))
+    concurrence = 2.0 * _margin(*cols, _larger, np.sqrt)
+    cols = [np.broadcast_to(np.array(taus), concurrence.shape), concurrence, *cols]
     doc = _meta(
         command, values,
         channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b, family=values["family"], **grid,
@@ -292,21 +296,75 @@ def _grid(
         # the document up to its closing "\n}", then the records array
         head = json.dumps(doc, indent=2)[:-2] + ',\n  "records": [\n'
         fid_text = ["null" if fid is None else repr(fid) for fid, _ in starts]
-        rows = _grid_chunks(_JSON_RECORD, ",\n", taus, fid_text, cols)
+        rows = _grid_chunks(_JSON_RECORD, "%r", ",\n", fid_text, cols)
         return 0, chain([head], rows, ["\n  ]\n}\n"])
     fid_text = [_fmt(fid) for fid, _ in starts]
-    rows = _grid_chunks(_CSV_ROW, "", taus, fid_text, cols)
+    rows = _grid_chunks(_CSV_ROW, "%.12g", "", fid_text, cols)
     return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows)
 
 
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether 2-d integer arrays x and y, broadcast together, are equal
+    everywhere; their last elements are compared first, a cheap way out."""
+    return bool(x[-1, -1] == y[-1, -1] and (x == y).all())
+
+
 def _grid_chunks(
-    template: str, sep: str, taus: list[float], fid_text: list[str], cols: list[np.ndarray]
+    row: str, cell: str, sep: str, fid_text: list[str], cols: list[np.ndarray]
 ) -> Iterator[str]:
-    """One chunk per start: its rows rendered by template, with sep between
-    consecutive rows, also across chunks."""
-    for i, fid in enumerate(fid_text):
-        rows = zip(taus, repeat(fid), *(col[i].tolist() for col in cols))
-        yield (sep if i else "") + sep.join(template % row for row in rows)
+    """One chunk per start: its rows rendered by row, one %s per field,
+    with sep between consecutive rows, also across chunks.  cols holds the
+    tau column and then the value columns as (start, tau) arrays; the
+    fidelity, the second field, comes as each start's text.
+
+    Each distinct value is rendered once, as cell renders a float.  Columns
+    are compared by their exact bits, so -0.0 and 0.0 never share text.  A
+    column bit-for-bit equal to an earlier one reuses that column's text;
+    otherwise it is rendered once per grid if constant, once per start if
+    constant along tau, and once per grid along tau if constant across two
+    or more starts, as the tau axis is.  Every other cell is cell itself,
+    a float formatted inside the row.
+    """
+    render = cell.__mod__
+    bits = [col.view(np.int64) for col in cols]
+    twin = [next((k for k in range(j) if _same_bits(bits[k], bits[j])), j) for j in range(len(cols))]
+    # per column: its cell in the template of every start's rows, and where
+    # its values come from; the cell is '%s' for one text per start, or
+    # '%%s' or '%%' + cell for a row argument, which start i reads as
+    # reads[r](i): texts, or floats formatted inside the row
+    made: list[tuple[str, list[str] | None, int | None]] = []
+    reads: list[Callable[[int], list]] = []
+    for j, (col, b) in enumerate(zip(cols, bits)):
+        if twin[j] < j:
+            made.append(made[twin[j]])
+            continue
+        along = _same_bits(b, b[:, :1])
+        across = len(b) > 1 and _same_bits(b, b[:1])
+        if along:
+            texts = [render(col[0, 0].item())] * len(b) if across else list(map(render, col[:, 0].tolist()))
+            made.append(("%s", texts, None))
+        else:
+            shared = j in twin[j + 1:]
+            if across:
+                reads.append(lambda i, texts=list(map(render, col[0].tolist())): texts)
+            elif shared:
+                reads.append(lambda i, col=col: list(map(render, col[i].tolist())))
+            else:
+                reads.append(lambda i, col=col: col[i].tolist())
+            made.append(("%%s" if across or shared else "%" + cell, None, len(reads) - 1))
+    cells, start_texts, row_args = [], [], []
+    for text, per_start, r in (made[0], ("%s", fid_text, None), *made[1:]):
+        cells.append(text)
+        if per_start is not None:
+            start_texts.append(per_start)
+        if r is not None:
+            row_args.append(r)
+    template = row % tuple(cells)
+    for i in range(len(fid_text)):
+        values = [read(i) for read in reads]
+        start_row = template % tuple(texts[i] for texts in start_texts)
+        rows = zip(*(values[r] for r in row_args))
+        yield (sep if i else "") + sep.join(map(start_row.__mod__, rows))
 
 
 def cmd_evolve(values: dict[str, Any]) -> tuple[int, Iterable[str]]:

@@ -283,25 +283,27 @@ class _Expansion:
         """The terms of the branch positive at tau (an X state has at most one)."""
         return next((t for _, _, t in self.branches if self._shifted(t, tau) > 0.0), [])
 
-    def concurrence(self, tau: float) -> float:
+    def concurrence(self, tau: float) -> float | None:
         """Concurrence without cancellation: C = 2 gamma_A gamma_B u /
         (|coh| + sqrt(|coh|^2 - u)) on the positive branch (an X state has
-        at most one), where u = branch / (x_A x_B) lies in (0, |coh|^2]."""
+        at most one), where u = branch / (x_A x_B) lies in (0, |coh|^2];
+        None if no branch is positive, the state separable."""
         for coh, excess, terms in self.branches:
             shifted = self._shifted(terms, tau)
             if shifted > 0.0:
                 u = math.exp(math.log(shifted) - excess * tau)
                 root = math.sqrt(max(0.0, coh * coh - u))
                 return 2.0 * math.exp(-0.5 * self.decay * tau) * u / (coh + root)
-        return 0.0
+        return None
 
-    def death(self) -> float | None:
-        """The tau where the branch positive at tau = 0 first vanishes, in
-        closed form where that branch is c0 + c1 y or c0 + c1 y + c2 y^2 in
-        y = exp(-delta tau): -ln(y) / delta, y its largest root in (0, 1)
-        by the quadratic formula in its cancellation-free form.  None for
-        any other branch, or if there is no such root."""
-        terms = self.positive(0.0)
+    @staticmethod
+    def death(terms: list[tuple[float, float]]) -> float | None:
+        """The tau where a branch with these terms, positive at tau = 0,
+        first vanishes, in closed form where it is c0 + c1 y or
+        c0 + c1 y + c2 y^2 in y = exp(-delta tau): -ln(y) / delta, y its
+        largest root in (0, 1) by the quadratic formula in its
+        cancellation-free form.  None for any other branch, or if there is
+        no such root."""
         if len(terms) == 2:
             (c0, _), (c1, delta) = terms
             roots = [-c0 / c1]
@@ -342,13 +344,14 @@ def esd_time_numeric(
     if concurrence_x(state) <= 0.0:
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
-    if not expansion.entangled(0.0):
+    start = expansion.positive(0.0)  # the branch entangled at tau = 0
+    if not start:
         raise NumericalFailureError("the initial margin was lost to rounding in the sudden-death expansion")
-    if expansion.entangled(horizon):
-        return EsdResult.alive_at_horizon(horizon, expansion.concurrence(horizon))
-    tau = expansion.death()
+    if (c_final := expansion.concurrence(horizon)) is not None:
+        return EsdResult.alive_at_horizon(horizon, c_final)
+    tau = _Expansion.death(start)
     if tau is None or not tau <= horizon:
-        tau = _root(partial(_Expansion._shifted, expansion.positive(0.0)), 0.0, horizon, tol)
+        tau = _root(partial(_Expansion._shifted, start), 0.0, horizon, tol)
     return EsdResult.dies(tau)
 
 

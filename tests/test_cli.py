@@ -297,6 +297,19 @@ _GOLDEN = [
      {"fidelity_min": 0.5, "fidelity_max": 0.95, "fidelity_steps": 5, "tau_max": 2.0, "steps": 7}, 4.0),
     ("sweep", "amplitude", "werner-phi", 1.0, 1.0,
      {"fidelity_min": 0.6, "fidelity_max": 1.0, "fidelity_steps": 3, "tau_max": 8.0, "steps": 5}, None),
+    # grids whose columns share text: every start equal, so each column is
+    # constant across starts (and a, d and b, c pairwise bit-for-bit equal
+    # under equalizing noise); populations constant along tau under phase
+    # noise; abs_w zero throughout for werner-psi; and unequal rates, where
+    # no two value columns are equal
+    ("sweep", "equalizing", "werner-psi", 1.3, 1.3,
+     {"fidelity_min": 0.8, "fidelity_max": 0.8, "fidelity_steps": 4, "tau_max": 6.0, "steps": 7}, None),
+    ("sweep", "phase", "werner-psi", 1.0, 1.0,
+     {"fidelity_min": 0.25, "fidelity_max": 1.0, "fidelity_steps": 6, "tau_max": 4.0, "steps": 9}, None),
+    ("sweep", "amplitude", "werner-psi", 1.7, 1.7,
+     {"fidelity_min": 0.3, "fidelity_max": 1.0, "fidelity_steps": 5, "tau_max": 9.0, "steps": 8}, 3.0),
+    ("sweep", "amplitude", "werner-phi", 0.6, 1.4,
+     {"fidelity_min": 0.4, "fidelity_max": 0.95, "fidelity_steps": 5, "tau_max": 7.0, "steps": 8}, None),
 ]
 
 
@@ -364,6 +377,21 @@ def test_grid_output_matches_scalar_reference(tmp_path, capsys, case, fmt):
     assert main(argv + ["--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("cell, zero, minus", [("%.12g", "0", "-0"), ("%r", "0.0", "-0.0")], ids=["csv", "json"])
+def test_grid_chunks_keep_zero_and_negative_zero_apart(cell, zero, minus):
+    # columns equal but for the sign of a zero share no text, and a copy of
+    # a column shares its text; fields: tau, fidelity, then cols[1:]
+    tau = np.broadcast_to(np.array([0.0, 0.5]), (2, 2))
+    zeros, mixed = np.zeros((2, 2)), np.array([[0.0, -0.0], [-0.0, 0.0]])
+    cols = [tau, zeros, -zeros, mixed, -mixed, mixed.copy()]
+    text = "".join(cli._grid_chunks("%s,%s,%s,%s,%s,%s,%s\n", cell, "", ["f1", "f2"], cols))
+    half = cell % 0.5
+    assert text == (
+        f"{zero},f1,{zero},{minus},{zero},{minus},{zero}\n{half},f1,{zero},{minus},{minus},{zero},{minus}\n"
+        f"{zero},f2,{zero},{minus},{minus},{zero},{minus}\n{half},f2,{zero},{minus},{zero},{minus},{zero}\n"
+    )
 
 
 def test_failed_grid_leaves_no_out_file(tmp_path, capsys):
@@ -599,8 +627,8 @@ def test_root_search_at_the_smallest_tolerance_stops_at_adjacent_floats():
         doc = _run_json_child("esd", *argv, "--rate-b", "2.5", "--tol", "5e-324")
         assert doc["numeric"]["status"] == "dies"
         expansion = _Expansion(state, _tau_spec(ChannelSpec(kind, rate_a=1.0, rate_b=2.5)))
-        assert expansion.death() is None  # the root finder, not the closed form
         terms = expansion.positive(0.0)
+        assert expansion.death(terms) is None  # the root finder, not the closed form
         assert _next_to_a_sign_change(lambda tau: _Expansion._shifted(terms, tau), doc["numeric"]["tau"])
 
     doc = _run_json_child("critical-fidelity", "--tol", "5e-324")

@@ -430,7 +430,7 @@ def test_closed_form_death_agrees_with_bisection():
         expansion = _Expansion(state, spec)
         if concurrence_x(state) <= 0.0 or expansion.entangled(60.0):
             continue
-        tau = expansion.death()
+        tau = expansion.death(expansion.positive(0.0))
         assert tau is not None
         assert abs(tau - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
         assert esd_time_numeric(state, spec, horizon=60.0, tol=tol).time == tau
@@ -440,7 +440,7 @@ def test_closed_form_death_agrees_with_bisection():
     for a in (1e-100, 1e-160, 1e-300):
         state = XState(a, 0.35 - a / 2, 0.35 - a / 2, 0.3, 1.2 * math.sqrt(0.3 * a))
         expansion = _Expansion(state, _tau_spec(ChannelSpec("amplitude")))
-        assert abs(expansion.death() - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
+        assert abs(expansion.death(expansion.positive(0.0)) - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
 
 
 def test_unequal_rate_deaths_match_bisection_in_fewer_evaluations(monkeypatch):
@@ -465,7 +465,9 @@ def test_unequal_rate_deaths_match_bisection_in_fewer_evaluations(monkeypatch):
     ):
         state, spec = _seeded_starts(rng, kind, family, "unequal")
         expansion = _Expansion(state, spec)
-        if concurrence_x(state) <= 0.0 or expansion.entangled(horizon) or expansion.death() is not None:
+        if concurrence_x(state) <= 0.0 or expansion.entangled(horizon):
+            continue
+        if expansion.death(expansion.positive(0.0)) is not None:
             continue
         steps = []
 

@@ -11,11 +11,10 @@ imports ``xkraus`` from the source directory SRC (say ``src``, or the
 The set is the benchmark's command lists (``bench/workloads.py``, both
 workloads, seeds 1-5), ``verify`` in text and JSON, the reproducers of
 fixed defects, root searches beyond the benchmark's horizons and
-tolerances, a list of usage and domain errors, argv shapes beside the
-well-formed one, and the parser's own
-prints (``--version``, the top-level
-``--help`` and every subcommand's ``--help``, at ``COLUMNS=80`` so that they
-do not depend on the terminal).  Two checkouts agree where their lines agree:
+tolerances, grids whose columns share rendered text, a list of usage and
+domain errors, argv shapes beside the well-formed one, and the parser's
+own prints (``--version``, the top-level ``--help`` and every subcommand's
+``--help``, at ``COLUMNS=80`` so that they do not depend on the terminal).  Two checkouts agree where their lines agree:
 
     diff <(python tools/golden.py old/src) <(python tools/golden.py src)
 """
@@ -58,6 +57,25 @@ SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200
         ("amplitude", ("--family", "custom-x", "--x-params", "0.4,0.1,0.2,0.3,0,0,0.3,0")),
         ("equalizing", ("--family", "custom-x", "--x-params", "0.1,0.3,0.4,0.2,0.3,0,0,0")),
         ("equalizing", ("--family", "custom-x", "--x-params", "0.05,0.45,0.35,0.15,0.35,0,0,0")),
+    )
+]
+
+# grids whose columns share rendered text, as in the reference-grid test:
+# every start equal, populations constant along tau under phase noise, abs_w
+# zero for werner-psi, and unequal rates, where no two value columns are equal
+GRIDS = [
+    [*grid, "--format", fmt]
+    for fmt in ("csv", "json")
+    for grid in (
+        ["sweep", "--channel", "equalizing", "--family", "werner-psi", "--rate-a", "1.3", "--rate-b", "1.3",
+         "--fidelity-min", "0.8", "--fidelity-max", "0.8", "--fidelity-steps", "4", "--tau-max", "6.0", "--steps", "7"],
+        ["sweep", "--channel", "phase", "--family", "werner-psi",
+         "--fidelity-min", "0.25", "--fidelity-max", "1.0", "--fidelity-steps", "6", "--tau-max", "4.0", "--steps", "9"],
+        ["sweep", "--channel", "amplitude", "--family", "werner-psi", "--rate-a", "1.7", "--rate-b", "1.7",
+         "--fidelity-min", "0.3", "--fidelity-max", "1.0", "--fidelity-steps", "5", "--tau-max", "9.0", "--steps", "8",
+         "--rate", "3.0"],
+        ["sweep", "--channel", "amplitude", "--family", "werner-phi", "--rate-a", "0.6", "--rate-b", "1.4",
+         "--fidelity-min", "0.4", "--fidelity-max", "0.95", "--fidelity-steps", "5", "--tau-max", "7.0", "--steps", "8"],
     )
 ]
 
@@ -113,7 +131,8 @@ def _command_set() -> list[list[str]]:
     from workloads import WORKLOADS, commands
 
     argvs = [cmd.argv for w in WORKLOADS for seed in SEEDS for cmd in commands(w, seed)]
-    return argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]] + FIXED + SEARCHES + ERRORS + FORMS + PRINTS
+    return (argvs + [["verify"], ["verify", "--trials", "30", "--format", "json"]]
+            + FIXED + SEARCHES + GRIDS + ERRORS + FORMS + PRINTS)
 
 
 def _digest(text: str) -> str:
