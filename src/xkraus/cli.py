@@ -21,15 +21,19 @@ pass the same ``_Opt.parse``; a bad value exits 2 with
 A handler writes nothing: it returns its exit code and an iterable of text
 chunks, and ``main`` writes the chunks to stdout or ``--out``.  The report
 commands give one chunk, their JSON document or text lines as ``--format``
-names.  ``evolve`` and ``sweep`` share ``_grid``: it evolves every start
-state in one broadcast pass of the ``propagate_x`` kernel, checks every
-evolved state, and only then returns the CSV, or JSON byte-identical to
-``json.dumps(doc, indent=2)``, as a generator of one chunk per start state.
-It renders each distinct value once (``_grid_chunks``): the tau axis once
-per grid, a column constant along tau once per start, one constant across
-the starts once per grid, and a column bit-for-bit equal to an earlier one
-with that column's text; every other cell is formatted inside the row.
-A command that fails writes nothing.
+names.  ``evolve`` and ``sweep`` share ``_grid``: it evolves the start
+states in blocks of at most ``_BLOCK_ROWS`` rows (one start per block if a
+start has more), one broadcast call of the ``propagate_x`` kernel per
+block, checks every block in order, and only then returns the CSV, or JSON
+byte-identical to ``json.dumps(doc, indent=2)``, as a generator of one
+chunk per start state.  Only the first block is kept; the generator
+evolves each later one again, so a grid's memory is bounded by one block,
+whatever its size.  Each distinct value of a block is rendered once
+(``_grid_chunks``): the tau axis once per block, a column constant along
+tau once per start, one constant across the block's starts once per
+block, and a column bit-for-bit equal to an earlier one with that
+column's text; every other cell is formatted inside the row.  A command
+that fails writes nothing.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -255,6 +259,10 @@ def _default_tau_max(values: dict[str, Any]) -> float:
 _CSV_ROW = ",".join(["%s"] * len(_CSV_FIELDS)) + "\n"
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _CSV_FIELDS) + "\n    }"
 
+# Most grid rows evolved, checked and rendered at once: a block of starts
+# holds this many rows or fewer, or one start with more.
+_BLOCK_ROWS = 4096
+
 
 def _grid(
     command: str,
@@ -267,27 +275,51 @@ def _grid(
     """Evolve each (fidelity, state) start along the tau grid and return
     one row per point, start-major, with the fields _CSV_FIELDS.
 
-    The starts were checked when built.  One broadcast call of the
-    propagate_x kernel evolves them all, with per-tau factors from
-    propagate_x's own math.exp, taken in tau units from the relative rates
-    of _tau_spec, so every number rounds as in the float rule at time tau;
-    np.hypot of a coherence equals abs() of the complex.  Every evolved state
-    passes the XState check before this returns; the rows are then
-    rendered while written, one chunk per start, each distinct value once
-    (_grid_chunks): the tau axis per grid, a column constant along tau per
-    start, one constant across starts per grid, and one bit-for-bit equal
-    to an earlier column not at all.
+    The starts were checked when built.  They are evolved in blocks of at
+    most _BLOCK_ROWS rows, one start per block if a start has more, by one
+    broadcast call of the propagate_x kernel per block, with per-tau
+    factors from propagate_x's own math.exp, taken in tau units from the
+    relative rates of _tau_spec, so every number rounds as in the float
+    rule at time tau; np.hypot of a coherence, or np.abs of one with no
+    imaginary part, equals abs() of the complex.  Every block passes the
+    XState check, in order, before this returns, and only the first is
+    kept: the row generator evolves each later block again, bit for bit as
+    before, so memory is bounded by the block, not by the grid.  The rows
+    are rendered while written, one chunk per start, each distinct value
+    once per block (_grid_chunks).
     """
     tau_spec = _tau_spec(spec)
     taus = np.linspace(0.0, tau_end, values["steps"]).tolist()
     gamma_a, gamma_b = np.array([_time_factors(tau_spec, tau) for tau in taus]).T
-    columns = (np.array([[getattr(s, key)] for _, s in starts]) for key in "abcdzw")
-    a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *columns)
-    abs_z, abs_w = np.hypot(z.real, z.imag), np.hypot(w.real, w.imag)
-    cols = [np.broadcast_to(x, (len(starts), len(taus))) for x in (a, b, c, d, abs_z, abs_w)]
-    _check_x(*cols)
-    concurrence = 2.0 * _margin(*cols, _larger, np.sqrt)
-    cols = [np.broadcast_to(np.array(taus), concurrence.shape), concurrence, *cols]
+    columns = [np.array([[getattr(s, key)] for _, s in starts]) for key in "abcdzw"]
+    # a coherence column with no imaginary part evolves as floats x: |x| is
+    # then the hypot of the parts of the complex product, bit for bit
+    columns[4:] = [x if x.imag.any() else x.real for x in columns[4:]]
+    per_block = max(1, _BLOCK_ROWS // len(taus))
+    firsts = range(0, len(starts), per_block)  # each block's first start
+
+    def evolve(first: int) -> list[np.ndarray]:
+        a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *(x[first:first + per_block] for x in columns))
+        abs_z, abs_w = (np.hypot(x.real, x.imag) if x.dtype.kind == "c" else np.abs(x) for x in (z, w))
+        return [a, b, c, d, abs_z, abs_w]
+
+    kept = [evolve(0)]  # popped by the row generator, so freed once rendered
+    _check_x(*kept[0])
+    for first in firsts[1:]:
+        _check_x(*evolve(first))
+    tau_row = np.array(taus)
+
+    def block(first: int) -> list[np.ndarray]:
+        """The tau, concurrence and value columns of the block from first."""
+        cols = kept.pop() if first == 0 else evolve(first)
+        concurrence = 2.0 * _margin(*cols, _larger, np.sqrt)
+        return [np.broadcast_to(tau_row, concurrence.shape), concurrence, *cols]
+
+    def rows(row: str, cell: str, sep: str, fid_text: list[str]) -> Iterator[str]:
+        for first in firsts:
+            texts = fid_text[first:first + per_block]
+            yield from _grid_chunks(row, cell, sep, texts, block(first), sep if first else "")
+
     doc = _meta(
         command, values,
         channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b, family=values["family"], **grid,
@@ -296,11 +328,9 @@ def _grid(
         # the document up to its closing "\n}", then the records array
         head = json.dumps(doc, indent=2)[:-2] + ',\n  "records": [\n'
         fid_text = ["null" if fid is None else repr(fid) for fid, _ in starts]
-        rows = _grid_chunks(_JSON_RECORD, "%r", ",\n", fid_text, cols)
-        return 0, chain([head], rows, ["\n  ]\n}\n"])
+        return 0, chain([head], rows(_JSON_RECORD, "%r", ",\n", fid_text), ["\n  ]\n}\n"])
     fid_text = [_fmt(fid) for fid, _ in starts]
-    rows = _grid_chunks(_CSV_ROW, "%.12g", "", fid_text, cols)
-    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows)
+    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, "%.12g", "", fid_text))
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -310,12 +340,13 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _grid_chunks(
-    row: str, cell: str, sep: str, fid_text: list[str], cols: list[np.ndarray]
+    row: str, cell: str, sep: str, fid_text: list[str], cols: list[np.ndarray], lead: str = ""
 ) -> Iterator[str]:
     """One chunk per start: its rows rendered by row, one %s per field,
-    with sep between consecutive rows, also across chunks.  cols holds the
-    tau column and then the value columns as (start, tau) arrays; the
-    fidelity, the second field, comes as each start's text.
+    with sep between consecutive rows, also across chunks, and lead before
+    the first row (sep if an earlier block's rows came before).  cols
+    holds the tau column and then the value columns as (start, tau)
+    arrays; the fidelity, the second field, comes as each start's text.
 
     Each distinct value is rendered once, as cell renders a float.  Columns
     are compared by their exact bits, so -0.0 and 0.0 never share text.  A
@@ -364,7 +395,7 @@ def _grid_chunks(
         values = [read(i) for read in reads]
         start_row = template % tuple(texts[i] for texts in start_texts)
         rows = zip(*(values[r] for r in row_args))
-        yield (sep if i else "") + sep.join(map(start_row.__mod__, rows))
+        yield (sep if i else lead) + sep.join(map(start_row.__mod__, rows))
 
 
 def cmd_evolve(values: dict[str, Any]) -> tuple[int, Iterable[str]]:

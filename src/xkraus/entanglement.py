@@ -141,13 +141,15 @@ class EsdResult:
         return cls(status=SEPARABLE)
 
 
-def _root(value: Callable[[float], float], good: float, bad: float, tol: float) -> float | None:
-    """Midpoint of a bracket, value(good) > 0 >= value(bad) with either end
-    the lower, shrunk by Illinois false position to width tol, or to adjacent
-    floats; None if the ends lack those signs.  A step falls back to the
-    midpoint where the interpolated point is not strictly inside, or where
-    the bracket failed to halve in three steps: at worst 4x bisection's."""
-    vg, vb = value(good), value(bad)
+def _root(
+    value: Callable[[float], float], good: float, bad: float, vg: float, vb: float, tol: float
+) -> float | None:
+    """Midpoint of a bracket, vg = value(good) > 0 >= vb = value(bad) with
+    either end the lower, the caller's values at its ends, shrunk by
+    Illinois false position to width tol, or to adjacent floats; None if
+    the ends lack those signs.  A step falls back to the midpoint where the
+    interpolated point is not strictly inside, or where the bracket failed
+    to halve in three steps: at worst 4x bisection's."""
     if not vg > 0.0 >= vb:
         return None
     side, widths = 0, (math.inf,) * 3
@@ -276,25 +278,37 @@ class _Expansion:
     def _shifted(terms: list[tuple[float, float]], tau: float) -> float:
         return sum(c * math.exp(-e * tau) for c, e in terms)
 
+    def sums(self, tau: float) -> list[float]:
+        """Each branch's shifted sum at tau, in order, up to the first
+        positive one (an X state has at most one): all of them if none is,
+        the state separable."""
+        out = []
+        for _, _, terms in self.branches:
+            out.append(self._shifted(terms, tau))
+            if out[-1] > 0.0:
+                break
+        return out
+
     def entangled(self, tau: float) -> bool:
-        return any(self._shifted(terms, tau) > 0.0 for _, _, terms in self.branches)
+        return self.concurrence(tau) is not None
 
     def positive(self, tau: float) -> list[tuple[float, float]]:
-        """The terms of the branch positive at tau (an X state has at most one)."""
-        return next((t for _, _, t in self.branches if self._shifted(t, tau) > 0.0), [])
+        """The terms of the branch positive at tau, [] if none is."""
+        sums = self.sums(tau)
+        return self.branches[len(sums) - 1][2] if sums and sums[-1] > 0.0 else []
 
-    def concurrence(self, tau: float) -> float | None:
+    def concurrence(self, tau: float, sums: list[float] | None = None) -> float | None:
         """Concurrence without cancellation: C = 2 gamma_A gamma_B u /
-        (|coh| + sqrt(|coh|^2 - u)) on the positive branch (an X state has
-        at most one), where u = branch / (x_A x_B) lies in (0, |coh|^2];
-        None if no branch is positive, the state separable."""
-        for coh, excess, terms in self.branches:
-            shifted = self._shifted(terms, tau)
-            if shifted > 0.0:
-                u = math.exp(math.log(shifted) - excess * tau)
-                root = math.sqrt(max(0.0, coh * coh - u))
-                return 2.0 * math.exp(-0.5 * self.decay * tau) * u / (coh + root)
-        return None
+        (|coh| + sqrt(|coh|^2 - u)) on the positive branch, where
+        u = branch / (x_A x_B) lies in (0, |coh|^2]; None if no branch is
+        positive, the state separable.  sums, if given, are sums(tau)."""
+        sums = self.sums(tau) if sums is None else sums
+        if not (sums and sums[-1] > 0.0):
+            return None
+        coh, excess, _ = self.branches[len(sums) - 1]
+        u = math.exp(math.log(sums[-1]) - excess * tau)
+        root = math.sqrt(max(0.0, coh * coh - u))
+        return 2.0 * math.exp(-0.5 * self.decay * tau) * u / (coh + root)
 
     @staticmethod
     def death(terms: list[tuple[float, float]]) -> float | None:
@@ -332,11 +346,13 @@ def esd_time_numeric(
     exact sign test at the horizon decides the fate: a state still
     entangled there is reported alive with its concurrence, computed
     without cancellation; otherwise the initially positive branch dies in
-    closed form (_Expansion.death) or at its root in [0, horizon] (_root).
-    The horizon, tol and the result are all in tau.  The same path serves
-    every channel kind and rate pair, including a zero rate.  A state with
-    zero initial concurrence is reported separable outright; an entangled
-    one whose expansion rounds that margin away raises NumericalFailureError.
+    closed form (_Expansion.death) or at its root in [0, horizon] (_root),
+    which takes that branch's shifted sums at both ends from the sign tests
+    at 0 and at the horizon.  The horizon, tol and the result are all in
+    tau.  The same path serves every channel kind and rate pair, including
+    a zero rate.  A state with zero initial concurrence is reported
+    separable outright; an entangled one whose expansion rounds that margin
+    away raises NumericalFailureError.
     """
     horizon = _check_number("horizon", horizon, positive=True)
     tol = _check_number("tol", tol, positive=True)
@@ -344,14 +360,18 @@ def esd_time_numeric(
     if concurrence_x(state) <= 0.0:
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
-    start = expansion.positive(0.0)  # the branch entangled at tau = 0
-    if not start:
+    at_zero = expansion.sums(0.0)
+    if not (at_zero and at_zero[-1] > 0.0):
         raise NumericalFailureError("the initial margin was lost to rounding in the sudden-death expansion")
-    if (c_final := expansion.concurrence(horizon)) is not None:
+    at_horizon = expansion.sums(horizon)
+    if (c_final := expansion.concurrence(horizon, at_horizon)) is not None:
         return EsdResult.alive_at_horizon(horizon, c_final)
+    # the branch entangled at tau = 0; no branch is positive at the horizon
+    k = len(at_zero) - 1
+    start = expansion.branches[k][2]
     tau = _Expansion.death(start)
     if tau is None or not tau <= horizon:
-        tau = _root(partial(_Expansion._shifted, start), 0.0, horizon, tol)
+        tau = _root(partial(_Expansion._shifted, start), 0.0, horizon, at_zero[k], at_horizon[k], tol)
     return EsdResult.dies(tau)
 
 
@@ -385,7 +405,7 @@ def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = 
         return max((_Expansion._shifted(terms, horizon) for _, _, terms in branches), default=0.0)
 
     lo, hi = 0.55, 0.95
-    if (f := _root(margin, hi, lo, f_tol)) is None:
+    if (f := _root(margin, hi, lo, margin(hi), margin(lo), f_tol)) is None:
         raise NumericalFailureError(
             f"fidelity bracket [{lo}, {hi}] failed to classify as die/survive "
             f"at horizon {horizon}"

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,9 @@ _GOLDEN = [
      {"fidelity_min": 0.3, "fidelity_max": 1.0, "fidelity_steps": 5, "tau_max": 9.0, "steps": 8}, 3.0),
     ("sweep", "amplitude", "werner-phi", 0.6, 1.4,
      {"fidelity_min": 0.4, "fidelity_max": 0.95, "fidelity_steps": 5, "tau_max": 7.0, "steps": 8}, None),
+    # z with a negative-zero imaginary part, evolved as a real column
+    ("evolve", "amplitude", "custom-x", 1.0, 0.8,
+     {"x_params": (0.3, 0.2, 0.2, 0.3, -0.1, -0.0, 0.12, -0.2), "tau_max": 6.0, "steps": 13}, None),
 ]
 
 
@@ -357,10 +361,29 @@ def _reference_grid(command, channel, family, rate_a, rate_b, grid, rate, fmt):
     return "\n".join(lines) + "\n"
 
 
+# _BLOCK_ROWS for a grid of n starts of `steps` rows each, beside the
+# default, which makes one block of every grid above: one start per block,
+# blocks of n - 1 starts and a partial last one, exactly one block, and
+# fewer rows than one start has
+_BLOCKS = {
+    "one-start": lambda n, steps: steps,
+    "partial": lambda n, steps: max(1, n - 1) * steps,
+    "exact": lambda n, steps: n * steps,
+    "short": lambda n, steps: steps - 1,
+}
+_GRID_CASES = [
+    pytest.param(case, blocks, id=f"{case[0]}-{case[1]}-{case[2]}-{i}" + (f"-{blocks}" if blocks else ""))
+    for blocks in (None, *_BLOCKS)
+    for i, case in enumerate(_GOLDEN)
+]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", _GOLDEN, ids=[f"{c[0]}-{c[1]}-{c[2]}-{i}" for i, c in enumerate(_GOLDEN)])
-def test_grid_output_matches_scalar_reference(tmp_path, capsys, case, fmt):
+@pytest.mark.parametrize("case, blocks", _GRID_CASES)
+def test_grid_output_matches_scalar_reference(tmp_path, capsys, monkeypatch, case, blocks, fmt):
     command, channel, family, rate_a, rate_b, grid, rate = case
+    if blocks is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", _BLOCKS[blocks](grid.get("fidelity_steps", 1), grid["steps"]))
     argv = [command, "--channel", channel, "--family", family]
     argv += ["--rate-a", repr(rate_a), "--rate-b", repr(rate_b)]
     for key, value in grid.items():
@@ -401,6 +424,46 @@ def test_failed_grid_leaves_no_out_file(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_failing_its_check_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
+    # every block is checked before the first row is written: a state
+    # broken in the second of three blocks fails the command with no output
+    checked, cli_check = [], cli._check_x
+
+    def check(a, *rest):
+        checked.append(len(a))
+        cli_check(a + 1.0 if len(checked) == 2 else a, *rest)
+
+    monkeypatch.setattr(cli, "_check_x", check)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2 * 11)
+    argv = ["sweep", "--channel", "amplitude", "--fidelity-steps", "5", "--steps", "11", "--format", fmt]
+    path = tmp_path / "grid.out"
+    for out_flags in ([], ["--out", str(path)]):
+        checked.clear()
+        code, out, err = run(capsys, *argv, *out_flags)
+        assert (code, out, checked) == (2, "", [2, 2])
+        assert err.startswith("error: populations must sum to 1")
+    assert not path.exists()
+
+
+def test_grid_memory_does_not_grow_with_the_grid(tmp_path):
+    # starts are evolved, checked and rendered a block at a time, so twice
+    # the starts take no more memory at the peak (one block is 20 starts)
+    path = tmp_path / "grid.out"
+
+    def peak(starts: int) -> int:
+        argv = ["sweep", "--channel", "amplitude", "--fidelity-steps", str(starts), "--format", "csv"]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(41)  # warm-up: first-call imports and caches
+    assert peak(81) - peak(41) <= 0.25e6
 
 
 @pytest.mark.parametrize("channel, tiny, unit", [

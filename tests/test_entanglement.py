@@ -446,16 +446,17 @@ def test_closed_form_death_agrees_with_bisection():
 def test_unequal_rate_deaths_match_bisection_in_fewer_evaluations(monkeypatch):
     # at unequal nonzero rates, amplitude noise and most equalizing starts
     # leave no closed form; the root finder lands within tol of the
-    # reference bisection, in far fewer evaluations and never more
+    # reference bisection, in far fewer evaluations and never more; it is
+    # handed the values at both ends, which the bisection never evaluates
     counts = []
 
-    def counted_root(value, good, bad, tol):
+    def counted_root(value, good, bad, vg, vb, tol):
         def counted(x):
             counts[-1] += 1
             return value(x)
 
         counts.append(0)
-        return _root(counted, good, bad, tol)
+        return _root(counted, good, bad, vg, vb, tol)
 
     monkeypatch.setattr(entanglement, "_root", counted_root)
     rng = np.random.default_rng(14)
@@ -477,10 +478,10 @@ def test_unequal_rate_deaths_match_bisection_in_fewer_evaluations(monkeypatch):
 
         reference = _bisect(holds, 0.0, horizon, tol)
         assert abs(esd_time_numeric(state, spec, horizon=horizon, tol=tol).time - reference) <= tol
-        assert counts[-1] <= len(steps)
+        assert counts[-1] <= len(steps) - 2
         compared += 1
     assert compared == len(counts) > 150
-    assert sum(counts) / len(counts) <= 16
+    assert sum(counts) / len(counts) <= 14
 
 
 def test_critical_fidelity_builds_few_expansions(monkeypatch):

@@ -11,10 +11,12 @@ imports ``xkraus`` from the source directory SRC (say ``src``, or the
 The set is the benchmark's command lists (``bench/workloads.py``, both
 workloads, seeds 1-5), ``verify`` in text and JSON, the reproducers of
 fixed defects, root searches beyond the benchmark's horizons and
-tolerances, grids whose columns share rendered text, a list of usage and
-domain errors, argv shapes beside the well-formed one, and the parser's
-own prints (``--version``, the top-level ``--help`` and every subcommand's
-``--help``, at ``COLUMNS=80`` so that they do not depend on the terminal).  Two checkouts agree where their lines agree:
+tolerances, grids whose columns share rendered text or that span several
+blocks of starts, a list of usage and domain errors, argv shapes beside
+the well-formed one, and the parser's own prints (``--version``, the
+top-level ``--help`` and every subcommand's ``--help``, at ``COLUMNS=80``
+so that they do not depend on the terminal).  Two checkouts agree where
+their lines agree:
 
     diff <(python tools/golden.py old/src) <(python tools/golden.py src)
 """
@@ -62,7 +64,10 @@ SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200
 
 # grids whose columns share rendered text, as in the reference-grid test:
 # every start equal, populations constant along tau under phase noise, abs_w
-# zero for werner-psi, and unequal rates, where no two value columns are equal
+# zero for werner-psi, and unequal rates, where no two value columns are
+# equal; then grids of several blocks of starts (cli._BLOCK_ROWS = 4096
+# rows): 41 starts of 101 rows, in blocks of 40 and 1, and 3 starts of
+# 4097 rows, one start per block
 GRIDS = [
     [*grid, "--format", fmt]
     for fmt in ("csv", "json")
@@ -76,6 +81,9 @@ GRIDS = [
          "--rate", "3.0"],
         ["sweep", "--channel", "amplitude", "--family", "werner-phi", "--rate-a", "0.6", "--rate-b", "1.4",
          "--fidelity-min", "0.4", "--fidelity-max", "0.95", "--fidelity-steps", "5", "--tau-max", "7.0", "--steps", "8"],
+        ["sweep", "--channel", "equalizing", "--family", "werner-phi", "--fidelity-steps", "41", "--steps", "101"],
+        ["sweep", "--channel", "amplitude", "--family", "werner-psi", "--rate-b", "0.5",
+         "--fidelity-steps", "3", "--steps", "4097"],
     )
 ]
 
