@@ -22,18 +22,20 @@ A handler writes nothing: it returns its exit code and an iterable of text
 chunks, and ``main`` writes the chunks to stdout or ``--out``.  The report
 commands give one chunk, their JSON document or text lines as ``--format``
 names.  ``evolve`` and ``sweep`` share ``_grid``: it evolves the start
-states in blocks of at most ``_BLOCK_ROWS`` rows (one start per block if a
-start has more), one broadcast call of the ``propagate_x`` kernel per
-block, checks every block in order, and only then returns the CSV, or JSON
-byte-identical to ``json.dumps(doc, indent=2)``, as a generator of one
-chunk per start state.  Only the first block is kept; the generator
-evolves each later one again, so a grid's memory is bounded by one block,
-whatever its size.  Each distinct value of a block is rendered once
-(``_grid_chunks``): the tau axis once per block, a column constant along
-tau once per start, one constant across the block's starts once per
+states in blocks of at most ``_BLOCK_ROWS`` rows (whole starts, or pieces
+of one start's rows if it has more), one broadcast call of the
+``propagate_x`` kernel per block, checks every block in order, and only
+then returns the CSV, or JSON byte-identical to
+``json.dumps(doc, indent=2)``, as a generator of one chunk per start in a
+block.  Only the first block is kept; the generator evolves each later one
+again, so a grid's memory is bounded by one block, whatever its size.
+Every cell is filled into its row as text (``_grid_chunks``), and each
+distinct value of a block is rendered once, all of them in one call of
+``_floattext.texts``, which gives Python's own ``repr`` (JSON) or
+``%.12g`` (CSV) text: the tau axis once per block, a column constant
+along tau once per start, one constant across the block's starts once per
 block, and a column bit-for-bit equal to an earlier one with that
-column's text; every other cell is formatted inside the row.  A command
-that fails writes nothing.
+column's text.  A command that fails writes nothing.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -48,13 +50,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _floattext
 from .channels import CHANNEL_KINDS, ChannelSpec, _evolve_x, _tau_spec, _time_factors
 from .entanglement import (
     _DEFAULT_HORIZON,
@@ -254,14 +256,26 @@ def _default_tau_max(values: dict[str, Any]) -> float:
 
 
 # One grid row as CSV and as a json.dumps(indent=2) record, with one %s per
-# field for its cell; a float cell is '%.12g' (as format(x, '.12g') does) in
-# CSV and '%r' (float.__repr__, as json does) in JSON.
-_CSV_ROW = ",".join(["%s"] * len(_CSV_FIELDS)) + "\n"
-_JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _CSV_FIELDS) + "\n    }"
+# field for its cell's text.
+_CSV_ROW = b",".join([b"%s"] * len(_CSV_FIELDS)) + b"\n"
+_JSON_RECORD = b"    {\n" + b",\n".join(b'      "%s": %%s' % key.encode() for key in _CSV_FIELDS) + b"\n    }"
 
-# Most grid rows evolved, checked and rendered at once: a block of starts
-# holds this many rows or fewer, or one start with more.
-_BLOCK_ROWS = 4096
+# Most grid rows evolved, checked and rendered at once: a block holds this
+# many rows or fewer, whole starts or one piece of a start.  It bounds a
+# grid's working set, the text of a block's cells included.
+_BLOCK_ROWS = 1024
+
+
+def _taus(tau_end: float, steps: int, lo: int, hi: int) -> np.ndarray:
+    """np.linspace(0.0, tau_end, steps)[lo:hi], computed for that slice
+    alone as linspace computes it."""
+    div = steps - 1
+    step = tau_end / div
+    taus = np.arange(lo, hi, dtype=float)
+    taus = taus / div * tau_end if step == 0.0 else taus * step
+    if hi == steps:
+        taus[-1] = tau_end
+    return taus
 
 
 def _grid(
@@ -276,49 +290,55 @@ def _grid(
     one row per point, start-major, with the fields _CSV_FIELDS.
 
     The starts were checked when built.  They are evolved in blocks of at
-    most _BLOCK_ROWS rows, one start per block if a start has more, by one
-    broadcast call of the propagate_x kernel per block, with per-tau
-    factors from propagate_x's own math.exp, taken in tau units from the
-    relative rates of _tau_spec, so every number rounds as in the float
-    rule at time tau; np.hypot of a coherence, or np.abs of one with no
-    imaginary part, equals abs() of the complex.  Every block passes the
-    XState check, in order, before this returns, and only the first is
-    kept: the row generator evolves each later block again, bit for bit as
-    before, so memory is bounded by the block, not by the grid.  The rows
-    are rendered while written, one chunk per start, each distinct value
-    once per block (_grid_chunks).
+    most _BLOCK_ROWS rows, whole starts, or pieces of one start's rows if
+    it has more, by one broadcast call of the propagate_x kernel per block,
+    with per-tau factors from propagate_x's own math.exp, taken in tau
+    units from the relative rates of _tau_spec, so every number rounds as
+    in the float rule at time tau; np.hypot of a coherence, or np.abs of
+    one with no imaginary part, equals abs() of the complex.  Every block
+    passes the XState check, in order, before this returns, and only the
+    first is kept: the row generator evolves each later block again, bit
+    for bit as before, so memory is bounded by the block, not by the
+    grid.  The rows are rendered while written, one chunk per start in a
+    block, each distinct value once per block (_grid_chunks).
     """
     tau_spec = _tau_spec(spec)
-    taus = np.linspace(0.0, tau_end, values["steps"]).tolist()
-    gamma_a, gamma_b = np.array([_time_factors(tau_spec, tau) for tau in taus]).T
+    steps = values["steps"]
     columns = [np.array([[getattr(s, key)] for _, s in starts]) for key in "abcdzw"]
     # a coherence column with no imaginary part evolves as floats x: |x| is
     # then the hypot of the parts of the complex product, bit for bit
     columns[4:] = [x if x.imag.any() else x.real for x in columns[4:]]
-    per_block = max(1, _BLOCK_ROWS // len(taus))
-    firsts = range(0, len(starts), per_block)  # each block's first start
+    per_block = max(1, _BLOCK_ROWS // steps)  # starts per block
+    span = min(steps, _BLOCK_ROWS)  # tau points per block
+    blocks = [(first, lo) for first in range(0, len(starts), per_block) for lo in range(0, steps, span)]
 
-    def evolve(first: int) -> list[np.ndarray]:
+    @lru_cache(maxsize=1)
+    def factors(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        taus = _taus(tau_end, steps, lo, min(lo + span, steps))
+        gamma_a, gamma_b = np.array([_time_factors(tau_spec, tau) for tau in taus.tolist()]).T
+        return taus, gamma_a, gamma_b
+
+    def evolve(first: int, lo: int) -> list[np.ndarray]:
+        _, gamma_a, gamma_b = factors(lo)
         a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *(x[first:first + per_block] for x in columns))
         abs_z, abs_w = (np.hypot(x.real, x.imag) if x.dtype.kind == "c" else np.abs(x) for x in (z, w))
         return [a, b, c, d, abs_z, abs_w]
 
-    kept = [evolve(0)]  # popped by the row generator, so freed once rendered
+    kept = [evolve(0, 0)]  # popped by the row generator, so freed once rendered
     _check_x(*kept[0])
-    for first in firsts[1:]:
-        _check_x(*evolve(first))
-    tau_row = np.array(taus)
+    for first, lo in blocks[1:]:
+        _check_x(*evolve(first, lo))
 
-    def block(first: int) -> list[np.ndarray]:
-        """The tau, concurrence and value columns of the block from first."""
-        cols = kept.pop() if first == 0 else evolve(first)
+    def block(first: int, lo: int) -> list[np.ndarray]:
+        """The tau, concurrence and value columns of one block."""
+        cols = kept.pop() if first == lo == 0 else evolve(first, lo)
         concurrence = 2.0 * _margin(*cols, _larger, np.sqrt)
-        return [np.broadcast_to(tau_row, concurrence.shape), concurrence, *cols]
+        return [np.broadcast_to(factors(lo)[0], concurrence.shape), concurrence, *cols]
 
-    def rows(row: str, cell: str, sep: str, fid_text: list[str]) -> Iterator[str]:
-        for first in firsts:
+    def rows(row: bytes, spec: str, sep: bytes, fid_text: list[bytes]) -> Iterator[str]:
+        for first, lo in blocks:
             texts = fid_text[first:first + per_block]
-            yield from _grid_chunks(row, cell, sep, texts, block(first), sep if first else "")
+            yield from _grid_chunks(row, spec, sep, texts, block(first, lo), sep if first or lo else b"")
 
     doc = _meta(
         command, values,
@@ -327,10 +347,10 @@ def _grid(
     if values["format"] == "json":
         # the document up to its closing "\n}", then the records array
         head = json.dumps(doc, indent=2)[:-2] + ',\n  "records": [\n'
-        fid_text = ["null" if fid is None else repr(fid) for fid, _ in starts]
-        return 0, chain([head], rows(_JSON_RECORD, "%r", ",\n", fid_text), ["\n  ]\n}\n"])
-    fid_text = [_fmt(fid) for fid, _ in starts]
-    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, "%.12g", "", fid_text))
+        fid_text = [b"null" if fid is None else repr(fid).encode() for fid, _ in starts]
+        return 0, chain([head], rows(_JSON_RECORD, "", b",\n", fid_text), ["\n  ]\n}\n"])
+    fid_text = [_fmt(fid).encode() for fid, _ in starts]
+    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, ".12g", b"", fid_text))
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -340,7 +360,7 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _grid_chunks(
-    row: str, cell: str, sep: str, fid_text: list[str], cols: list[np.ndarray], lead: str = ""
+    row: bytes, spec: str, sep: bytes, fid_text: list[bytes], cols: list[np.ndarray], lead: bytes = b""
 ) -> Iterator[str]:
     """One chunk per start: its rows rendered by row, one %s per field,
     with sep between consecutive rows, also across chunks, and lead before
@@ -348,54 +368,42 @@ def _grid_chunks(
     holds the tau column and then the value columns as (start, tau)
     arrays; the fidelity, the second field, comes as each start's text.
 
-    Each distinct value is rendered once, as cell renders a float.  Columns
-    are compared by their exact bits, so -0.0 and 0.0 never share text.  A
-    column bit-for-bit equal to an earlier one reuses that column's text;
-    otherwise it is rendered once per grid if constant, once per start if
-    constant along tau, and once per grid along tau if constant across two
-    or more starts, as the tau axis is.  Every other cell is cell itself,
-    a float formatted inside the row.
+    Every cell is filled in as text, format(x, spec) of its value, and
+    each distinct value is rendered once, all of a block in one call of
+    _floattext.texts.  Columns are compared by their exact bits, so -0.0
+    and 0.0 never share text.  A column bit-for-bit equal to an earlier
+    one reuses that column's text; otherwise it is rendered once along tau
+    if constant across the starts, as the tau axis is, once per start if
+    constant along tau, and once if both.
     """
-    render = cell.__mod__
     bits = [col.view(np.int64) for col in cols]
-    twin = [next((k for k in range(j) if _same_bits(bits[k], bits[j])), j) for j in range(len(cols))]
-    # per column: its cell in the template of every start's rows, and where
-    # its values come from; the cell is '%s' for one text per start, or
-    # '%%s' or '%%' + cell for a row argument, which start i reads as
-    # reads[r](i): texts, or floats formatted inside the row
-    made: list[tuple[str, list[str] | None, int | None]] = []
-    reads: list[Callable[[int], list]] = []
-    for j, (col, b) in enumerate(zip(cols, bits)):
-        if twin[j] < j:
-            made.append(made[twin[j]])
+    # per column: where its texts start, and for how many starts and tau points
+    spots: list[tuple[int, int, int]] = []
+    pieces: list[np.ndarray] = []
+    size = 0
+    for j, b in enumerate(bits):
+        twin = next((k for k in range(j) if _same_bits(bits[k], b)), j)
+        if twin < j:
+            spots.append(spots[twin])
             continue
-        along = _same_bits(b, b[:, :1])
-        across = len(b) > 1 and _same_bits(b, b[:1])
-        if along:
-            texts = [render(col[0, 0].item())] * len(b) if across else list(map(render, col[:, 0].tolist()))
-            made.append(("%s", texts, None))
-        else:
-            shared = j in twin[j + 1:]
-            if across:
-                reads.append(lambda i, texts=list(map(render, col[0].tolist())): texts)
-            elif shared:
-                reads.append(lambda i, col=col: list(map(render, col[i].tolist())))
-            else:
-                reads.append(lambda i, col=col: col[i].tolist())
-            made.append(("%%s" if across or shared else "%" + cell, None, len(reads) - 1))
-    cells, start_texts, row_args = [], [], []
-    for text, per_start, r in (made[0], ("%s", fid_text, None), *made[1:]):
-        cells.append(text)
-        if per_start is not None:
-            start_texts.append(per_start)
-        if r is not None:
-            row_args.append(r)
-    template = row % tuple(cells)
+        piece = cols[j][:1 if _same_bits(b, b[:1]) else None, :1 if _same_bits(b, b[:, :1]) else None]
+        pieces.append(piece)
+        spots.append((size, *piece.shape))
+        size += piece.size
+    texts = _floattext.texts(np.concatenate([p.ravel() for p in pieces]), spec)
     for i in range(len(fid_text)):
-        values = [read(i) for read in reads]
-        start_row = template % tuple(texts[i] for texts in start_texts)
-        rows = zip(*(values[r] for r in row_args))
-        yield (sep if i else lead) + sep.join(map(start_row.__mod__, rows))
+        fields, lists = [], []
+        for offset, starts, points in spots:
+            at = offset + (i if starts > 1 else 0) * points
+            if points == 1:
+                fields.append(texts[at])
+            else:
+                fields.append(b"%s")
+                lists.append(texts[at:at + points].tolist())
+        fields.insert(1, fid_text[i])
+        start_row = row % tuple(fields)
+        rows = zip(*lists) if lists else [()] * cols[0].shape[1]
+        yield ((sep if i else lead) + sep.join(map(start_row.__mod__, rows))).decode()
 
 
 def cmd_evolve(values: dict[str, Any]) -> tuple[int, Iterable[str]]:

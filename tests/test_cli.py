@@ -402,15 +402,15 @@ def test_grid_output_matches_scalar_reference(tmp_path, capsys, monkeypatch, cas
     assert path.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("cell, zero, minus", [("%.12g", "0", "-0"), ("%r", "0.0", "-0.0")], ids=["csv", "json"])
-def test_grid_chunks_keep_zero_and_negative_zero_apart(cell, zero, minus):
+@pytest.mark.parametrize("spec, zero, minus", [(".12g", "0", "-0"), ("", "0.0", "-0.0")], ids=["csv", "json"])
+def test_grid_chunks_keep_zero_and_negative_zero_apart(spec, zero, minus):
     # columns equal but for the sign of a zero share no text, and a copy of
     # a column shares its text; fields: tau, fidelity, then cols[1:]
     tau = np.broadcast_to(np.array([0.0, 0.5]), (2, 2))
     zeros, mixed = np.zeros((2, 2)), np.array([[0.0, -0.0], [-0.0, 0.0]])
     cols = [tau, zeros, -zeros, mixed, -mixed, mixed.copy()]
-    text = "".join(cli._grid_chunks("%s,%s,%s,%s,%s,%s,%s\n", cell, "", ["f1", "f2"], cols))
-    half = cell % 0.5
+    text = "".join(cli._grid_chunks(b"%s,%s,%s,%s,%s,%s,%s\n", spec, b"", [b"f1", b"f2"], cols))
+    half = format(0.5, spec)
     assert text == (
         f"{zero},f1,{zero},{minus},{zero},{minus},{zero}\n{half},f1,{zero},{minus},{minus},{zero},{minus}\n"
         f"{zero},f2,{zero},{minus},{minus},{zero},{minus}\n{half},f2,{zero},{minus},{zero},{minus},{zero}\n"
@@ -448,22 +448,48 @@ def test_grid_failing_its_check_in_a_later_block_writes_nothing(tmp_path, capsys
     assert not path.exists()
 
 
+@pytest.mark.parametrize("tau_end, steps", [(10.0, 201), (7.3, 4097), (1e17, 11), (5e-324, 3), (1e-310, 40001)])
+def test_tau_pieces_equal_linspace_slices(tau_end, steps):
+    # a piece of the tau axis is that slice of np.linspace, bit for bit,
+    # also where the step underflows to 0 (5e-324 / 2)
+    full = np.linspace(0.0, tau_end, steps)
+    for lo, hi in [(0, steps), (0, 1), (steps // 2, steps), (steps - 1, steps), (1, steps - 1)]:
+        assert cli._taus(tau_end, steps, lo, hi).tobytes() == full[lo:hi].tobytes()
+
+
+def _traced_peak(argv: list[str], path: Path) -> int:
+    """The tracemalloc peak of one in-process command writing to path."""
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(path)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_grid_memory_does_not_grow_with_the_grid(tmp_path):
     # starts are evolved, checked and rendered a block at a time, so twice
-    # the starts take no more memory at the peak (one block is 20 starts)
+    # the starts take no more memory at the peak (one block is 5 starts)
     path = tmp_path / "grid.out"
 
     def peak(starts: int) -> int:
-        argv = ["sweep", "--channel", "amplitude", "--fidelity-steps", str(starts), "--format", "csv"]
-        tracemalloc.start()
-        try:
-            assert main(argv + ["--out", str(path)]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(["sweep", "--channel", "amplitude", "--fidelity-steps", str(starts), "--format", "csv"], path)
 
     peak(41)  # warm-up: first-call imports and caches
     assert peak(81) - peak(41) <= 0.25e6
+
+
+def test_one_long_start_is_rendered_in_pieces(tmp_path):
+    # a start with more rows than a block is evolved, checked and rendered
+    # in pieces of at most _BLOCK_ROWS rows, so its memory does not grow with --steps
+    path = tmp_path / "grid.out"
+
+    def peak(steps: int) -> int:
+        argv = ["evolve", "--channel", "amplitude", "--fidelity", "0.8", "--steps", str(steps), "--format", "json"]
+        return _traced_peak(argv, path)
+
+    peak(8001)  # warm-up: first-call imports and caches
+    assert peak(40001) - peak(8001) <= 0.25e6
 
 
 @pytest.mark.parametrize("channel, tiny, unit", [

@@ -1,0 +1,95 @@
+"""The vectorized grid text equals Python's own: repr for JSON, %.12g for CSV."""
+
+from __future__ import annotations
+
+import warnings
+from decimal import Decimal
+from itertools import repeat
+
+import numpy as np
+import pytest
+
+from xkraus import _floattext, cli
+from xkraus.channels import CHANNEL_KINDS
+
+SPECS = ["", ".12g"]  # repr (json) and %.12g (csv)
+
+
+def _check(values: np.ndarray, spec: str) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _floattext.texts(values, spec)
+    want = np.array(list(map(format, values.tolist(), repeat(spec))), dtype=got.dtype)
+    wrong = np.flatnonzero(got != want)
+    assert not wrong.size, [(values[i], got[i], want[i]) for i in wrong[:5]]
+
+
+def _powers_and_neighbours() -> np.ndarray:
+    powers = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def _ties(rng: np.random.Generator) -> np.ndarray:
+    # exact 12-digit ties of both parities, n + 0.5, and dyadic values with
+    # 13 significant digits ending in 5, such as 2**-18 = 3.814697265625e-06
+    halves = rng.integers(10**11, 10**12, 20000) + 0.5
+    dyadic = [m * 2.0**-j for j in range(1, 80) for m in range(1, 200, 2)]
+    dyadic = [x for x in dyadic if len(Decimal(x).as_tuple().digits) == 13]
+    return np.concatenate([[123456789012.5, 123456789013.5], halves, dyadic, -halves])
+
+
+def _short_decimals(rng: np.random.Generator) -> np.ndarray:
+    pairs = zip(rng.integers(1, 1000, 20000).tolist(), rng.integers(-12, 18, 20000).tolist())
+    drawn = [float(f"{d}e{e}") for d, e in pairs]
+    return np.array([0.25, 1e-05, 0.1, 0.3, 100.0, 1e-4, 1e15, 1e16, 1e22, 5e-324, *drawn])
+
+
+def _special() -> np.ndarray:
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["repr", "12g"])
+def test_texts_equal_python_on_every_bit_pattern(spec):
+    # a million doubles drawn over all finite bit patterns, subnormals included
+    rng = np.random.default_rng(18)
+    bits = rng.integers(0, 0x7FF0_0000_0000_0000, 10**6, dtype=np.int64)
+    _check(bits.view(np.float64) * rng.choice([-1.0, 1.0], bits.size), spec)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["repr", "12g"])
+@pytest.mark.parametrize("kind", ["uniform", "powers", "ties", "short", "special"])
+def test_texts_equal_python_on_hard_cases(spec, kind):
+    rng = np.random.default_rng(7)
+    values = {
+        "uniform": lambda: rng.random(100000),
+        "powers": _powers_and_neighbours,
+        "ties": lambda: _ties(rng),
+        "short": lambda: _short_decimals(rng),
+        "special": _special,
+    }[kind]()
+    _check(values, spec)
+
+
+def _sweep_cells(monkeypatch, path, channel: str, fmt: str) -> np.ndarray:
+    """Every cell of the default sweep that reached the formatter."""
+    seen = []
+    texts = _floattext.texts
+
+    def spy(x, spec):
+        seen.append(x.copy())
+        return texts(x, spec)
+
+    monkeypatch.setattr(_floattext, "texts", spy)
+    assert cli.main(["sweep", "--channel", channel, "--format", fmt, "--out", str(path)]) == 0
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("fmt, spec", [("csv", ".12g"), ("json", "")])
+@pytest.mark.parametrize("channel", CHANNEL_KINDS)
+def test_default_sweep_cells_are_exact_and_mostly_certified(monkeypatch, tmp_path, channel, fmt, spec):
+    cells = _sweep_cells(monkeypatch, tmp_path / "grid.out", channel, fmt)
+    _check(cells, spec)
+    # the fast path, not Python's own text, renders nearly every nonzero cell
+    certified = _floattext._digits(cells, spec == "")[3]
+    assert certified[cells != 0].mean() >= 0.95

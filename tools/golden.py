@@ -65,9 +65,12 @@ SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200
 # grids whose columns share rendered text, as in the reference-grid test:
 # every start equal, populations constant along tau under phase noise, abs_w
 # zero for werner-psi, and unequal rates, where no two value columns are
-# equal; then grids of several blocks of starts (cli._BLOCK_ROWS = 4096
-# rows): 41 starts of 101 rows, in blocks of 40 and 1, and 3 starts of
-# 4097 rows, one start per block
+# equal; then grids of several blocks (cli._BLOCK_ROWS = 1024 rows): 41
+# starts of 101 rows, in blocks of 10 starts and 1, and 3 starts of 4097
+# rows, each in pieces of 1024 rows and 1; then grids whose cells
+# the vectorized text leaves to Python's own: populations that pass through
+# subnormals to 0, short decimals and powers of two, and taus in exponent
+# notation
 GRIDS = [
     [*grid, "--format", fmt]
     for fmt in ("csv", "json")
@@ -84,6 +87,12 @@ GRIDS = [
         ["sweep", "--channel", "equalizing", "--family", "werner-phi", "--fidelity-steps", "41", "--steps", "101"],
         ["sweep", "--channel", "amplitude", "--family", "werner-psi", "--rate-b", "0.5",
          "--fidelity-steps", "3", "--steps", "4097"],
+        ["evolve", "--channel", "amplitude", "--family", "werner-psi", "--fidelity", "0.8",
+         "--tau-max", "400", "--steps", "401"],
+        ["evolve", "--channel", "phase", "--family", "custom-x",
+         "--x-params", "0.25,0.25,0.25,0.25,0.125,0,0.0625,0", "--tau-max", "4", "--steps", "9"],
+        ["evolve", "--channel", "equalizing", "--family", "werner-phi", "--fidelity", "0.9",
+         "--tau-max", "1e17", "--steps", "11"],
     )
 ]
 
