@@ -1,19 +1,17 @@
-"""Exact decimal text for whole float64 arrays.
+"""Exact repr text for whole float64 arrays.
 
-``texts(x, spec)`` returns each element's text as ASCII bytes: with spec
-``""`` it is ``repr(v)``, the shortest digits that read back as v; with
-spec ``".12g"`` it is ``format(v, ".12g")``.  Both are Python's own rules,
+``texts(x)`` returns each element's ``repr(v)`` as ASCII bytes: the
+shortest digits that read back as v, Python's own rule (and json's),
 computed with numpy for the whole array at once, in the spirit of Ryu's
 certified shortest output (Adams, PLDI 2018).  Any element the fast path
 below cannot certify gets Python's own text, so the result equals the
-per-element ``format(v, spec)`` byte for byte.
+per-element ``repr(v)`` byte for byte.
 
-repr.  |v| = m * 2**e (m the 53-bit significand) is scaled to
-S = |v| * 10**p in [1e16, 1e17), so its 17 significant digits are the
-integer part of S.  10**p is a double-double hi + lo, hi * |v| is split
-exactly into s + t by Dekker's product (numpy has no fma), and S is held
-as an integer I (int64) and a fraction f in [0, 1).  In units of the 17th
-digit:
+|v| = m * 2**e (m the 53-bit significand) is scaled to S = |v| * 10**p in
+[1e16, 1e17), so its 17 significant digits are the integer part of S.
+10**p is a double-double hi + lo, hi * |v| is split exactly into s + t by
+Dekker's product (numpy has no fma), and S is held as an integer I (int64)
+and a fraction f in [0, 1).  In units of the 17th digit:
 
 * for 0 <= p <= 21, 10**p is a double (lo = 0), so I + f = S exactly, the
   half gap h = 10**p * 2**(e - 1) is exact, and so are S - h and S + h:
@@ -32,19 +30,13 @@ shortest output is the largest power u = 10**j with a multiple of u in
 it, and of those multiples the closest to S wins; the interval is
 symmetric, so that is the multiple of u nearest S.
 
-.12g.  S = |v| * 10**p in [1e11, 1e12) is one product with an exact
-10**p, 0 <= p <= 22, so it is within half an ulp of S, 2**-14, of the
-exact product, and it is rounded to an integer where its fraction is
-farther than _ERR_G = 2**-12 from 1/2.
-
-The digits are then laid out as Python does: fixed notation from 1e-4 up
-to below 1e16 (repr) or 1e12 (%g), otherwise d.ddde+XX with at least two
-exponent digits; repr keeps ".0", %g drops trailing zeros.  Python's own
-text is used for 0 and -0, non-finite and subnormal values, magnitudes
-outside the scaled ranges (repr: 10**-_P_MAX up to 10**-_P_MIN; %g: 1e-11
-up to 1e11), repr of a power of two (its gap below is half the gap above),
-exact rounding ties, and every comparison within its margin.  Every
-element left out computes on 1.0, so no numpy warning is raised.
+The digits are then laid out as repr does: fixed notation, with at least
+".0", from 1e-4 up to below 1e16, otherwise d.ddde+XX with at least two
+exponent digits.  Python's own text is used for 0 and -0, non-finite and
+subnormal values, magnitudes outside the scaled range (10**-_P_MAX up to
+10**-_P_MIN), powers of two (the gap below is half the gap above), exact
+rounding ties, and every comparison within its margin.  Every element
+left out computes on 1.0, so no numpy warning is raised.
 """
 
 from __future__ import annotations
@@ -57,8 +49,6 @@ import numpy as np
 # 2**997, so that their Dekker splits stay finite
 _P_MIN, _P_MAX = -283, 299
 _ERR = 2.0**-44
-_ERR_G = 2.0**-12
-_TENS = np.array([float(10**p) for p in range(23)])
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _WIDTH = 24  # the longest text: -1.2345678901234567e-308
 # the ASCII digits of 0000 .. 9999, 4 bytes at a time
@@ -114,39 +104,7 @@ def _trailing_zeros(n: np.ndarray) -> np.ndarray:
     return zeros
 
 
-def _rounded(ax: np.ndarray, place: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_digits for ".12g": S = ax * 10**p in [1e11, 1e12), from one product
-    with an exact 10**p, rounded to an integer."""
-    p = place
-    p *= -1
-    p += 11
-    ok &= (p >= 0) & (p <= 22)
-    ax[~ok] = 1.0
-    p[~ok] = 11
-    s = ax * _TENS.take(p)
-    # log10 may be one off next to a power of 10: rescale those elements
-    off = np.flatnonzero((s < 1e11) | (s >= 1e12))
-    if off.size:
-        p[off] = np.clip(p[off] + np.where(s[off] < 1e11, 1, -1), 0, 22)
-        s[off] = ax[off] * _TENS.take(p[off])
-    ok &= (s >= 1e11) & (s < 1e12)
-    q = np.floor(s)
-    s -= q
-    s -= 0.5  # now the fraction's distance above 1/2
-    ok &= np.abs(s) > _ERR_G
-    q = q.astype(np.int64)
-    q += s > 0
-    del s
-    q[~ok] = _POW10[11]
-    carry = q == _POW10[12]
-    q[carry] = _POW10[11]
-    count = 12 - _trailing_zeros(q)
-    q *= _POW10[5]
-    p -= carry
-    return q, 11 - p, count, ok
-
-
-def _digits(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, ...]:
+def _digits(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each element's 17 digits D, an int64 in [1e16, 1e17) with trailing
     zeros, its decimal exponent E (v ~ D * 10**(E - 16)), its number of
     significant digits, and whether the fast path certified them; only
@@ -154,16 +112,10 @@ def _digits(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, ...]:
     bits = x.view(np.uint64)
     biased = (bits >> 52) & 0x7FF
     ok = (biased > 0) & (biased < 0x7FF)
-    if shortest:
-        ok &= (bits & ((1 << 52) - 1)) != 0  # a power of two has a narrower gap below
+    ok &= (bits & ((1 << 52) - 1)) != 0  # a power of two has a narrower gap below
     ax = np.abs(x)
     ax[~ok] = 1.0
-    place = np.floor(np.log10(ax)).astype(np.int64)  # of the leading digit, or one off
-    if not shortest:
-        del biased
-        return _rounded(ax, place, ok)
-    p = 16 - place
-    del place
+    p = 16 - np.floor(np.log10(ax)).astype(np.int64)  # the leading digit's place, or one off
     ok &= (p > _P_MIN) & (p < _P_MAX)  # room for the correction below
     ax[~ok] = 1.0
     p[~ok] = 16
@@ -247,24 +199,23 @@ def _layout(exp: int | None, negative: bool) -> np.ndarray:
     return np.array(out + [_PAD] * (_WIDTH - len(out)))
 
 
-def texts(x: np.ndarray, spec: str) -> np.ndarray:
-    """format(v, spec) of each element of the float64 array x, as an array
-    of x's shape of ASCII bytes (numpy "S24"); spec is "" (repr) or ".12g"."""
-    shortest = spec == ""
+def texts(x: np.ndarray) -> np.ndarray:
+    """repr(v) of each element of the float64 array x, as an array of x's
+    shape of ASCII bytes (numpy "S24")."""
     flat = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    digits, exp, count, ok = _digits(flat, shortest)
+    digits, exp, count, ok = _digits(flat)
     # show the significant digits, a fixed-point number's whole part and
-    # repr's ".0"; a point where digits follow it, and always in repr's fixed notation
-    sci = (exp < -4) | (exp >= (16 if shortest else 12))
+    # ".0"; a point where digits follow it, and always in fixed notation
+    sci = (exp < -4) | (exp >= 16)
     lead = exp + 1  # digits before the point
     lead[sci] = 1
-    shown = np.maximum(count, lead + (shortest & ~sci))
+    shown = np.maximum(count, lead + ~sci)
     del count
     # 3 leading bytes (byte 2 becomes the point), D's 17 digits (NUL past
     # those shown) and the tail, 4 bytes at a time
     quads = np.zeros((flat.size, 6), dtype="<u4")
     quads[:, 0] = _QUADS[digits // _POW10[16]]
-    for k in range(1, 5 if shortest else 4):  # %.12g shows no digit past the 12th
+    for k in range(1, 5):
         quads[:, k] = _QUADS[digits // _POW10[16 - 4 * k] % 10000] & _SHOWN.take(shown + (19 - 4 * k))
     quads[:, 5] = _TAIL
     del digits
@@ -300,8 +251,8 @@ def texts(x: np.ndarray, spec: str) -> np.ndarray:
     # Python's own text for the rest, once for each of 0 and -0
     zero = flat == 0
     minus = np.signbit(flat)
-    out[zero & ~minus] = format(0.0, spec).encode()
-    out[zero & minus] = format(-0.0, spec).encode()
+    out[zero & ~minus] = b"0.0"
+    out[zero & minus] = b"-0.0"
     rest_at = np.flatnonzero(~(ok | zero))
-    out[rest_at] = [format(v, spec).encode() for v in flat[rest_at].tolist()]
+    out[rest_at] = [repr(v).encode() for v in flat[rest_at].tolist()]
     return out.reshape(np.shape(x))

@@ -29,13 +29,14 @@ then returns the CSV, or JSON byte-identical to
 ``json.dumps(doc, indent=2)``, as a generator of one chunk per start in a
 block.  Only the first block is kept; the generator evolves each later one
 again, so a grid's memory is bounded by one block, whatever its size.
-Every cell is filled into its row as text (``_grid_chunks``), and each
-distinct value of a block is rendered once, all of them in one call of
-``_floattext.texts``, which gives Python's own ``repr`` (JSON) or
-``%.12g`` (CSV) text: the tau axis once per block, a column constant
-along tau once per start, one constant across the block's starts once per
-block, and a column bit-for-bit equal to an earlier one with that
-column's text.  A command that fails writes nothing.
+``_grid_chunks`` takes each column of a block once: the tau axis, or any
+column constant across the block's starts, once per block, a column
+constant along tau once per start, and a column bit-for-bit equal to an
+earlier one as that column.  JSON cells are Python's own ``repr``, every
+distinct value of a block rendered in one call of ``_floattext.texts``;
+CSV cells are CPython's ``%.12g``, formatted inside the row where a
+column varies both ways and rendered once for the rest.  A command that
+fails writes nothing.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -300,7 +301,7 @@ def _grid(
     first is kept: the row generator evolves each later block again, bit
     for bit as before, so memory is bounded by the block, not by the
     grid.  The rows are rendered while written, one chunk per start in a
-    block, each distinct value once per block (_grid_chunks).
+    block, in the cell rule of --format (_grid_chunks).
     """
     tau_spec = _tau_spec(spec)
     steps = values["steps"]
@@ -335,10 +336,10 @@ def _grid(
         concurrence = 2.0 * _margin(*cols, _larger, np.sqrt)
         return [np.broadcast_to(factors(lo)[0], concurrence.shape), concurrence, *cols]
 
-    def rows(row: bytes, spec: str, sep: bytes, fid_text: list[bytes]) -> Iterator[str]:
+    def rows(row: bytes, sep: bytes, fid_text: list[bytes]) -> Iterator[str]:
         for first, lo in blocks:
             texts = fid_text[first:first + per_block]
-            yield from _grid_chunks(row, spec, sep, texts, block(first, lo), sep if first or lo else b"")
+            yield from _grid_chunks(row, values["format"], sep, texts, block(first, lo), sep if first or lo else b"")
 
     doc = _meta(
         command, values,
@@ -348,9 +349,9 @@ def _grid(
         # the document up to its closing "\n}", then the records array
         head = json.dumps(doc, indent=2)[:-2] + ',\n  "records": [\n'
         fid_text = [b"null" if fid is None else repr(fid).encode() for fid, _ in starts]
-        return 0, chain([head], rows(_JSON_RECORD, "", b",\n", fid_text), ["\n  ]\n}\n"])
+        return 0, chain([head], rows(_JSON_RECORD, b",\n", fid_text), ["\n  ]\n}\n"])
     fid_text = [_fmt(fid).encode() for fid, _ in starts]
-    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, ".12g", b"", fid_text))
+    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, b"", fid_text))
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -360,7 +361,7 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _grid_chunks(
-    row: bytes, spec: str, sep: bytes, fid_text: list[bytes], cols: list[np.ndarray], lead: bytes = b""
+    row: bytes, fmt: str, sep: bytes, fid_text: list[bytes], cols: list[np.ndarray], lead: bytes = b""
 ) -> Iterator[str]:
     """One chunk per start: its rows rendered by row, one %s per field,
     with sep between consecutive rows, also across chunks, and lead before
@@ -368,16 +369,17 @@ def _grid_chunks(
     holds the tau column and then the value columns as (start, tau)
     arrays; the fidelity, the second field, comes as each start's text.
 
-    Every cell is filled in as text, format(x, spec) of its value, and
-    each distinct value is rendered once, all of a block in one call of
-    _floattext.texts.  Columns are compared by their exact bits, so -0.0
-    and 0.0 never share text.  A column bit-for-bit equal to an earlier
-    one reuses that column's text; otherwise it is rendered once along tau
-    if constant across the starts, as the tau axis is, once per start if
-    constant along tau, and once if both.
+    Columns are compared by their exact bits, so -0.0 and 0.0 never share
+    text.  A column bit-for-bit equal to an earlier one reuses that
+    column's cells; otherwise its cells are taken once along tau if it is
+    constant across the starts, as the tau axis is, once per start if
+    constant along tau, and once if both.  fmt picks the cell rule: for
+    "json", repr(x), the block's cells rendered in one call of
+    _floattext.texts; for "csv", %.12g, formatted inside the row where a
+    column varies both ways and rendered once for every other cell.
     """
     bits = [col.view(np.int64) for col in cols]
-    # per column: where its texts start, and for how many starts and tau points
+    # per column: where its cells start, and for how many starts and tau points
     spots: list[tuple[int, int, int]] = []
     pieces: list[np.ndarray] = []
     size = 0
@@ -390,7 +392,17 @@ def _grid_chunks(
         pieces.append(piece)
         spots.append((size, *piece.shape))
         size += piece.size
-    texts = _floattext.texts(np.concatenate([p.ravel() for p in pieces]), spec)
+    cells = np.concatenate([p.ravel() for p in pieces])
+    if fmt == "json":
+        texts, cell = _floattext.texts(cells).tolist(), b"%s"
+    else:
+        # floats for the row's %.12g; the cells of a column that does not
+        # vary both ways become text here
+        texts, cell = cells.tolist(), b"%.12g"
+        for offset, starts, points in set(spots):
+            if starts == 1 or points == 1:
+                end = offset + starts * points
+                texts[offset:end] = [cell % v for v in texts[offset:end]]
     for i in range(len(fid_text)):
         fields, lists = [], []
         for offset, starts, points in spots:
@@ -398,8 +410,8 @@ def _grid_chunks(
             if points == 1:
                 fields.append(texts[at])
             else:
-                fields.append(b"%s")
-                lists.append(texts[at:at + points].tolist())
+                fields.append(cell if starts > 1 else b"%s")
+                lists.append(texts[at:at + points])
         fields.insert(1, fid_text[i])
         start_row = row % tuple(fields)
         rows = zip(*lists) if lists else [()] * cols[0].shape[1]

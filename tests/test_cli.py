@@ -314,6 +314,12 @@ _GOLDEN = [
     # z with a negative-zero imaginary part, evolved as a real column
     ("evolve", "amplitude", "custom-x", 1.0, 0.8,
      {"x_params": (0.3, 0.2, 0.2, 0.3, -0.1, -0.0, 0.12, -0.2), "tau_max": 6.0, "steps": 13}, None),
+    # extreme cells: populations that pass through subnormals to 0, taus
+    # up to 1e17 in exponent notation, and short decimals and powers of two
+    ("evolve", "amplitude", "werner-psi", 1.0, 1.0, {"fidelity": 0.8, "tau_max": 400.0, "steps": 401}, None),
+    ("evolve", "equalizing", "werner-phi", 1.0, 1.0, {"fidelity": 0.9, "tau_max": 1e17, "steps": 11}, None),
+    ("evolve", "phase", "custom-x", 1.0, 1.0,
+     {"x_params": (0.25, 0.25, 0.25, 0.25, 0.125, 0.0, 0.0625, 0.0), "tau_max": 4.0, "steps": 9}, None),
 ]
 
 
@@ -402,18 +408,17 @@ def test_grid_output_matches_scalar_reference(tmp_path, capsys, monkeypatch, cas
     assert path.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("spec, zero, minus", [(".12g", "0", "-0"), ("", "0.0", "-0.0")], ids=["csv", "json"])
-def test_grid_chunks_keep_zero_and_negative_zero_apart(spec, zero, minus):
+@pytest.mark.parametrize("fmt, zero, minus", [("csv", "0", "-0"), ("json", "0.0", "-0.0")], ids=["csv", "json"])
+def test_grid_chunks_keep_zero_and_negative_zero_apart(fmt, zero, minus):
     # columns equal but for the sign of a zero share no text, and a copy of
     # a column shares its text; fields: tau, fidelity, then cols[1:]
     tau = np.broadcast_to(np.array([0.0, 0.5]), (2, 2))
     zeros, mixed = np.zeros((2, 2)), np.array([[0.0, -0.0], [-0.0, 0.0]])
     cols = [tau, zeros, -zeros, mixed, -mixed, mixed.copy()]
-    text = "".join(cli._grid_chunks(b"%s,%s,%s,%s,%s,%s,%s\n", spec, b"", [b"f1", b"f2"], cols))
-    half = format(0.5, spec)
+    text = "".join(cli._grid_chunks(b"%s,%s,%s,%s,%s,%s,%s\n", fmt, b"", [b"f1", b"f2"], cols))
     assert text == (
-        f"{zero},f1,{zero},{minus},{zero},{minus},{zero}\n{half},f1,{zero},{minus},{minus},{zero},{minus}\n"
-        f"{zero},f2,{zero},{minus},{minus},{zero},{minus}\n{half},f2,{zero},{minus},{zero},{minus},{zero}\n"
+        f"{zero},f1,{zero},{minus},{zero},{minus},{zero}\n0.5,f1,{zero},{minus},{minus},{zero},{minus}\n"
+        f"{zero},f2,{zero},{minus},{minus},{zero},{minus}\n0.5,f2,{zero},{minus},{zero},{minus},{zero}\n"
     )
 
 

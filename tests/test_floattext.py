@@ -1,4 +1,4 @@
-"""The vectorized grid text equals Python's own: repr for JSON, %.12g for CSV."""
+"""The vectorized grid text equals Python's own repr, the text of JSON cells."""
 
 from __future__ import annotations
 
@@ -12,13 +12,13 @@ import pytest
 from xkraus import _floattext, cli
 from xkraus.channels import CHANNEL_KINDS
 
-SPECS = ["", ".12g"]  # repr (json) and %.12g (csv)
+SPECS = [""]  # format(v, "") is repr(v)
 
 
 def _check(values: np.ndarray, spec: str) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _floattext.texts(values, spec)
+        got = _floattext.texts(values)
     want = np.array(list(map(format, values.tolist(), repeat(spec))), dtype=got.dtype)
     wrong = np.flatnonzero(got != want)
     assert not wrong.size, [(values[i], got[i], want[i]) for i in wrong[:5]]
@@ -31,8 +31,9 @@ def _powers_and_neighbours() -> np.ndarray:
 
 
 def _ties(rng: np.random.Generator) -> np.ndarray:
-    # exact 12-digit ties of both parities, n + 0.5, and dyadic values with
-    # 13 significant digits ending in 5, such as 2**-18 = 3.814697265625e-06
+    # values halfway between two 12-digit decimals, n + 0.5 of both
+    # parities, and dyadic values with 13 significant digits ending in 5,
+    # such as 2**-18 = 3.814697265625e-06
     halves = rng.integers(10**11, 10**12, 20000) + 0.5
     dyadic = [m * 2.0**-j for j in range(1, 80) for m in range(1, 200, 2)]
     dyadic = [x for x in dyadic if len(Decimal(x).as_tuple().digits) == 13]
@@ -49,7 +50,7 @@ def _special() -> np.ndarray:
     return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=["repr", "12g"])
+@pytest.mark.parametrize("spec", SPECS, ids=["repr"])
 def test_texts_equal_python_on_every_bit_pattern(spec):
     # a million doubles drawn over all finite bit patterns, subnormals included
     rng = np.random.default_rng(18)
@@ -57,7 +58,7 @@ def test_texts_equal_python_on_every_bit_pattern(spec):
     _check(bits.view(np.float64) * rng.choice([-1.0, 1.0], bits.size), spec)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=["repr", "12g"])
+@pytest.mark.parametrize("spec", SPECS, ids=["repr"])
 @pytest.mark.parametrize("kind", ["uniform", "powers", "ties", "short", "special"])
 def test_texts_equal_python_on_hard_cases(spec, kind):
     rng = np.random.default_rng(7)
@@ -76,20 +77,20 @@ def _sweep_cells(monkeypatch, path, channel: str, fmt: str) -> np.ndarray:
     seen = []
     texts = _floattext.texts
 
-    def spy(x, spec):
+    def spy(x):
         seen.append(x.copy())
-        return texts(x, spec)
+        return texts(x)
 
     monkeypatch.setattr(_floattext, "texts", spy)
     assert cli.main(["sweep", "--channel", channel, "--format", fmt, "--out", str(path)]) == 0
     return np.concatenate(seen)
 
 
-@pytest.mark.parametrize("fmt, spec", [("csv", ".12g"), ("json", "")])
+@pytest.mark.parametrize("fmt, spec", [("json", "")])
 @pytest.mark.parametrize("channel", CHANNEL_KINDS)
 def test_default_sweep_cells_are_exact_and_mostly_certified(monkeypatch, tmp_path, channel, fmt, spec):
     cells = _sweep_cells(monkeypatch, tmp_path / "grid.out", channel, fmt)
     _check(cells, spec)
     # the fast path, not Python's own text, renders nearly every nonzero cell
-    certified = _floattext._digits(cells, spec == "")[3]
+    certified = _floattext._digits(cells)[3]
     assert certified[cells != 0].mean() >= 0.95
