@@ -238,6 +238,11 @@ def _plan(alpha: float, beta: float) -> tuple[tuple, tuple]:
     return tuple(tuple(3 * i + j for i, j in g) + (9,) * (3 - len(g)) for g in groups), shifts
 
 
+def _first_positive(sums: list[float]) -> int | None:
+    """Index of the positive branch sum (an X state has at most one), or None."""
+    return next((k for k, s in enumerate(sums) if s > 0.0), None)
+
+
 class _Expansion:
     """Both branches of an evolving X state's margin as sums of exponentials.
 
@@ -252,6 +257,8 @@ class _Expansion:
     (_tau_spec).  Terms of exactly equal exponent are merged (_plan), so
     leading terms cancel exactly, and the exponents are shifted so that the
     slowest surviving term is constant: nothing underflows to a false zero.
+    sums(tau) gives every branch's shifted sum, concurrence(tau, sums) the
+    concurrence from them, and death(terms) a branch's closed-form zero.
     """
 
     def __init__(self, state: XState, spec: ChannelSpec) -> None:
@@ -279,34 +286,19 @@ class _Expansion:
         return sum(c * math.exp(-e * tau) for c, e in terms)
 
     def sums(self, tau: float) -> list[float]:
-        """Each branch's shifted sum at tau, in order, up to the first
-        positive one (an X state has at most one): all of them if none is,
-        the state separable."""
-        out = []
-        for _, _, terms in self.branches:
-            out.append(self._shifted(terms, tau))
-            if out[-1] > 0.0:
-                break
-        return out
+        """Each branch's shifted sum at tau, in order; the state is
+        entangled iff one is positive (_first_positive)."""
+        return [self._shifted(terms, tau) for _, _, terms in self.branches]
 
-    def entangled(self, tau: float) -> bool:
-        return self.concurrence(tau) is not None
-
-    def positive(self, tau: float) -> list[tuple[float, float]]:
-        """The terms of the branch positive at tau, [] if none is."""
-        sums = self.sums(tau)
-        return self.branches[len(sums) - 1][2] if sums and sums[-1] > 0.0 else []
-
-    def concurrence(self, tau: float, sums: list[float] | None = None) -> float | None:
-        """Concurrence without cancellation: C = 2 gamma_A gamma_B u /
-        (|coh| + sqrt(|coh|^2 - u)) on the positive branch, where
-        u = branch / (x_A x_B) lies in (0, |coh|^2]; None if no branch is
-        positive, the state separable.  sums, if given, are sums(tau)."""
-        sums = self.sums(tau) if sums is None else sums
-        if not (sums and sums[-1] > 0.0):
+    def concurrence(self, tau: float, sums: list[float]) -> float | None:
+        """Concurrence without cancellation, from sums = sums(tau):
+        C = 2 gamma_A gamma_B u / (|coh| + sqrt(|coh|^2 - u)) on the positive
+        branch, where u = branch / (x_A x_B) lies in (0, |coh|^2]; None if
+        no branch is positive, the state separable."""
+        if (k := _first_positive(sums)) is None:
             return None
-        coh, excess, _ = self.branches[len(sums) - 1]
-        u = math.exp(math.log(sums[-1]) - excess * tau)
+        coh, excess, _ = self.branches[k]
+        u = math.exp(math.log(sums[k]) - excess * tau)
         root = math.sqrt(max(0.0, coh * coh - u))
         return 2.0 * math.exp(-0.5 * self.decay * tau) * u / (coh + root)
 
@@ -343,16 +335,16 @@ def esd_time_numeric(
     """Locate the concurrence zero of an evolving X state.
 
     Entanglement, once lost, never returns under local channels, so one
-    exact sign test at the horizon decides the fate: a state still
-    entangled there is reported alive with its concurrence, computed
-    without cancellation; otherwise the initially positive branch dies in
-    closed form (_Expansion.death) or at its root in [0, horizon] (_root),
-    which takes that branch's shifted sums at both ends from the sign tests
-    at 0 and at the horizon.  The horizon, tol and the result are all in
-    tau.  The same path serves every channel kind and rate pair, including
-    a zero rate.  A state with zero initial concurrence is reported
-    separable outright; an entangled one whose expansion rounds that margin
-    away raises NumericalFailureError.
+    exact sign test at the horizon decides the fate: a state with a
+    positive branch sum there (_Expansion.sums) is reported alive with its
+    concurrence, computed without cancellation; otherwise the branch
+    positive at 0 dies in closed form (_Expansion.death) or at its root in
+    [0, horizon] (_root), which takes that branch's sums at 0 and at the
+    horizon as its values at both ends.  The horizon, tol and the result
+    are all in tau.  The same path serves every channel kind and rate pair,
+    including a zero rate.  A state with zero initial concurrence is
+    reported separable outright; an entangled one whose expansion rounds
+    that margin away raises NumericalFailureError.
     """
     horizon = _check_number("horizon", horizon, positive=True)
     tol = _check_number("tol", tol, positive=True)
@@ -361,13 +353,12 @@ def esd_time_numeric(
         return EsdResult.initially_separable()
     expansion = _Expansion(state, spec)
     at_zero = expansion.sums(0.0)
-    if not (at_zero and at_zero[-1] > 0.0):
+    if (k := _first_positive(at_zero)) is None:
         raise NumericalFailureError("the initial margin was lost to rounding in the sudden-death expansion")
     at_horizon = expansion.sums(horizon)
     if (c_final := expansion.concurrence(horizon, at_horizon)) is not None:
         return EsdResult.alive_at_horizon(horizon, c_final)
     # the branch entangled at tau = 0; no branch is positive at the horizon
-    k = len(at_zero) - 1
     start = expansion.branches[k][2]
     tau = _Expansion.death(start)
     if tau is None or not tau <= horizon:
@@ -394,15 +385,14 @@ def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = 
     it.  A finite horizon (in tau) classifies very slow deaths as survival,
     which biases the returned boundary slightly below the analytic value;
     at horizon 60 the bias is far below f_tol.  The death times' _root runs
-    on the largest shifted branch sum there, positive iff entangled.
+    on the largest of _Expansion.sums there, positive iff entangled.
     """
     f_tol = _check_number("f_tol", f_tol, positive=True)
     horizon = _check_number("horizon", horizon, positive=True)
     spec = ChannelSpec("amplitude")  # equal rates 1: its time is already tau
 
     def margin(f: float) -> float:
-        branches = _Expansion(werner_psi(f), spec).branches
-        return max((_Expansion._shifted(terms, horizon) for _, _, terms in branches), default=0.0)
+        return max(_Expansion(werner_psi(f), spec).sums(horizon), default=0.0)
 
     lo, hi = 0.55, 0.95
     if (f := _root(margin, hi, lo, margin(hi), margin(lo), f_tol)) is None:

@@ -22,7 +22,7 @@ from xkraus import (
 from xkraus import cli
 from xkraus.channels import CHANNEL_KINDS, _tau_spec
 from xkraus.cli import main
-from xkraus.entanglement import _Expansion
+from xkraus.entanglement import _Expansion, _first_positive
 
 LN_5_5 = 1.7047480922384253
 
@@ -453,6 +453,29 @@ def test_grid_failing_its_check_in_a_later_block_writes_nothing(tmp_path, capsys
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_whose_second_block_fails_its_check_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
+    # the start passes XState's 1e-12 tolerance and so does its first block
+    # of 1,024 rows, but its population a falls below -1e-12 in the second
+    checked, cli_check = [], cli._check_x
+
+    def check(a, *rest):
+        checked.append(a.size)
+        cli_check(a, *rest)
+
+    monkeypatch.setattr(cli, "_check_x", check)
+    argv = ["evolve", "--channel", "amplitude", "--family", "custom-x",
+            "--x-params=-1e-12,-5e-13,0.5,0.5000000000015,0,0,0,0", "--rate-a", "0", "--rate-b", "1",
+            "--tau-max", "2.5", "--steps", "4097", "--format", fmt]
+    path = tmp_path / "grid.out"
+    for out_flags in ([], ["--out", str(path)]):
+        checked.clear()
+        code, out, err = run(capsys, *argv, *out_flags)
+        assert (code, out, checked) == (2, "", [1024, 1024])
+        assert err == "error: negative population -1.0001060859642033e-12\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("tau_end, steps", [(10.0, 201), (7.3, 4097), (1e17, 11), (5e-324, 3), (1e-310, 40001)])
 def test_tau_pieces_equal_linspace_slices(tau_end, steps):
     # a piece of the tau axis is that slice of np.linspace, bit for bit,
@@ -721,7 +744,7 @@ def test_root_search_at_the_smallest_tolerance_stops_at_adjacent_floats():
         doc = _run_json_child("esd", *argv, "--rate-b", "2.5", "--tol", "5e-324")
         assert doc["numeric"]["status"] == "dies"
         expansion = _Expansion(state, _tau_spec(ChannelSpec(kind, rate_a=1.0, rate_b=2.5)))
-        terms = expansion.positive(0.0)
+        terms = expansion.branches[_first_positive(expansion.sums(0.0))][2]
         assert expansion.death(terms) is None  # the root finder, not the closed form
         assert _next_to_a_sign_change(lambda tau: _Expansion._shifted(terms, tau), doc["numeric"]["tau"])
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from xkraus.entanglement import (
     SEPARABLE,
     EsdResult,
     _Expansion,
+    _first_positive,
     _root,
     concurrence_general,
     concurrence_x,
@@ -386,6 +388,36 @@ def _seeded_starts(rng, kind, family, pair):
     return state, _tau_spec(ChannelSpec(kind, rate_a, rate_b))
 
 
+def _entangled(expansion, tau):
+    """Whether some branch sum is positive at tau."""
+    return max(expansion.sums(tau)) > 0.0
+
+
+def _start_terms(expansion):
+    """The terms of the branch positive at tau = 0."""
+    return expansion.branches[_first_positive(expansion.sums(0.0))][2]
+
+
+def test_sums_have_one_entry_per_branch_and_at_most_one_positive():
+    # an X state is entangled on at most one branch: |z|^2 > a d and
+    # |w|^2 > b c together would break |z|^2 <= b c and |w|^2 <= a d
+    rng = np.random.default_rng(20)
+    compared = 0
+    for kind, family, pair, _ in itertools.product(
+        CHANNEL_KINDS, ("werner-psi", "werner-phi", "custom-x"), ("equal", "unequal", "one-zero"), range(20),
+    ):
+        state, spec = _seeded_starts(rng, kind, family, pair)
+        expansion = _Expansion(state, spec)
+        for tau in (0.0, 0.5, 3.0, 60.0):
+            sums = expansion.sums(tau)
+            assert len(sums) == len(expansion.branches)
+            positive = sum(s > 0.0 for s in sums)
+            assert positive <= 1
+            assert (expansion.concurrence(tau, sums) is None) == (positive == 0)
+            compared += positive
+    assert compared > 500
+
+
 def test_expansion_equals_the_einsum_build_bit_for_bit():
     # at a rate ratio of 1/2, two distinct powers share an exponent and merge
     rng = np.random.default_rng(11)
@@ -428,11 +460,11 @@ def test_closed_form_death_agrees_with_bisection():
             continue
         state, spec = _seeded_starts(rng, kind, family, pair)
         expansion = _Expansion(state, spec)
-        if concurrence_x(state) <= 0.0 or expansion.entangled(60.0):
+        if concurrence_x(state) <= 0.0 or _entangled(expansion, 60.0):
             continue
-        tau = expansion.death(expansion.positive(0.0))
+        tau = expansion.death(_start_terms(expansion))
         assert tau is not None
-        assert abs(tau - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
+        assert abs(tau - _bisect(partial(_entangled, expansion), 0.0, 60.0, tol)) <= tol
         assert esd_time_numeric(state, spec, horizon=60.0, tol=tol).time == tau
         compared += 1
     assert compared > 300
@@ -440,7 +472,8 @@ def test_closed_form_death_agrees_with_bisection():
     for a in (1e-100, 1e-160, 1e-300):
         state = XState(a, 0.35 - a / 2, 0.35 - a / 2, 0.3, 1.2 * math.sqrt(0.3 * a))
         expansion = _Expansion(state, _tau_spec(ChannelSpec("amplitude")))
-        assert abs(expansion.death(expansion.positive(0.0)) - _bisect(expansion.entangled, 0.0, 60.0, tol)) <= tol
+        tau = expansion.death(_start_terms(expansion))
+        assert abs(tau - _bisect(partial(_entangled, expansion), 0.0, 60.0, tol)) <= tol
 
 
 def test_unequal_rate_deaths_match_bisection_in_fewer_evaluations(monkeypatch):
@@ -466,15 +499,15 @@ def test_unequal_rate_deaths_match_bisection_in_fewer_evaluations(monkeypatch):
     ):
         state, spec = _seeded_starts(rng, kind, family, "unequal")
         expansion = _Expansion(state, spec)
-        if concurrence_x(state) <= 0.0 or expansion.entangled(horizon):
+        if concurrence_x(state) <= 0.0 or _entangled(expansion, horizon):
             continue
-        if expansion.death(expansion.positive(0.0)) is not None:
+        if expansion.death(_start_terms(expansion)) is not None:
             continue
         steps = []
 
         def holds(tau):
             steps.append(tau)
-            return expansion.entangled(tau)
+            return _entangled(expansion, tau)
 
         reference = _bisect(holds, 0.0, horizon, tol)
         assert abs(esd_time_numeric(state, spec, horizon=horizon, tol=tol).time - reference) <= tol

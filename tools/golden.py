@@ -114,6 +114,9 @@ ERRORS = [
     ["evolve", "--channel", "amplitude", "--family", "custom-x",
      "--x-params", "0.25,0.25,0.25,0.25,0.9,0,0,0"],
     ["evolve", "--channel", "phase", "--fidelity", "0.8", "--tau-max", "-2"],
+    ["evolve", "--channel", "amplitude", "--family", "custom-x",
+     "--x-params=-1e-12,-5e-13,0.5,0.5000000000015,0,0,0,0", "--rate-a", "0", "--rate-b", "1",
+     "--tau-max", "2.5", "--steps", "4097"],
     ["sweep", "--channel", "phase", "--family", "custom-x"],
     ["sweep", "--channel", "phase", "--fidelity-min", "0.9", "--fidelity-max", "0.6"],
     ["critical-fidelity", "--horizon", "-1"],
