@@ -21,7 +21,8 @@ pass the same ``_Opt.parse``; a bad value exits 2 with
 A handler writes nothing: it returns its exit code and an iterable of text
 chunks, and ``main`` writes the chunks to stdout or ``--out``.  The report
 commands give one chunk, their JSON document or text lines as ``--format``
-names.  ``evolve`` and ``sweep`` share ``_grid``: it evolves the start
+names; a search result is rendered only by ``_fate``, as both at once.
+``evolve`` and ``sweep`` share ``_grid``: it evolves the start
 states in blocks of at most ``_BLOCK_ROWS`` rows (whole starts, or pieces
 of one start's rows if it has more), one broadcast call of the
 ``propagate_x`` kernel per block, checks every block in order, and only
@@ -464,31 +465,20 @@ def _analytic_fate(
     return None
 
 
-def _esd_doc(result: EsdResult | None) -> dict[str, Any] | None:
+def _fate(result: EsdResult | None) -> tuple[dict[str, Any] | None, str]:
+    """A search result's JSON object and its phrase, the one place either
+    is built; None, where no closed form applies, has no object."""
     if result is None:
-        return None
+        return None, "not available for this configuration"
     if result.status == DIES:
-        return {"status": DIES, "tau": result.time}
+        return {"status": DIES, "tau": result.time}, f"dies at tau = {_fmt(result.time)}"
     if result.status == ALIVE:
         return {
             "status": ALIVE,
             "horizon_tau": result.horizon,
             "concurrence_at_horizon": result.c_final,
-        }
-    return {"status": result.status}
-
-
-def _esd_phrase(doc: dict[str, Any] | None) -> str:
-    if doc is None:
-        return "not available for this configuration"
-    if doc["status"] == DIES:
-        return f"dies at tau = {_fmt(doc['tau'])}"
-    if doc["status"] == ALIVE:
-        return (
-            f"alive at horizon tau = {_fmt(doc['horizon_tau'])} "
-            f"with concurrence {_fmt(doc['concurrence_at_horizon'])}"
-        )
-    return "initially separable"
+        }, f"alive at horizon tau = {_fmt(result.horizon)} with concurrence {_fmt(result.c_final)}"
+    return {"status": result.status}, "initially separable"
 
 
 def cmd_esd(values: dict[str, Any]) -> tuple[int, list[str]]:
@@ -496,11 +486,13 @@ def cmd_esd(values: dict[str, Any]) -> tuple[int, list[str]]:
     state, fid = _initial_state(values)
     horizon = values["horizon"]
     tol = values["tol"]
-    numeric_doc = _esd_doc(esd_time_numeric(state, spec, horizon=horizon, tol=tol))
-    analytic_doc = _esd_doc(_analytic_fate(values["family"], fid, spec, horizon))
+    numeric = esd_time_numeric(state, spec, horizon=horizon, tol=tol)
+    analytic = _analytic_fate(values["family"], fid, spec, horizon)
+    numeric_doc, numeric_text = _fate(numeric)
+    analytic_doc, analytic_text = _fate(analytic)
     difference = None
-    if analytic_doc and analytic_doc["status"] == DIES and numeric_doc["status"] == DIES:
-        difference = abs(analytic_doc["tau"] - numeric_doc["tau"])
+    if analytic is not None and analytic.status == DIES and numeric.status == DIES:
+        difference = abs(analytic.time - numeric.time)
     doc = _meta(
         "esd", values,
         channel=spec.kind, rate_a=spec.rate_a, rate_b=spec.rate_b,
@@ -516,14 +508,12 @@ def cmd_esd(values: dict[str, Any]) -> tuple[int, list[str]]:
         lines.append(f"state: {values['family']} with fidelity {_fmt(fid)}")
     else:
         lines.append("state: custom-x " + ",".join(_fmt(p) for p in values["x_params"]))
-    lines.append(f"analytic: {_esd_phrase(analytic_doc)}")
-    lines.append(
-        f"numeric (horizon tau={_fmt(horizon)}, tol={_fmt(tol)}): {_esd_phrase(numeric_doc)}"
-    )
+    lines.append(f"analytic: {analytic_text}")
+    lines.append(f"numeric (horizon tau={_fmt(horizon)}, tol={_fmt(tol)}): {numeric_text}")
     if difference is not None:
         lines.append(f"|analytic - numeric| tau = {difference:.3e}")
-    if values["rate"] is not None and numeric_doc["status"] == DIES:
-        t_phys = numeric_doc["tau"] / values["rate"]
+    if values["rate"] is not None and numeric.status == DIES:
+        t_phys = numeric.time / values["rate"]
         if math.isinf(t_phys):
             raise ValueError(f"--rate: t = tau / rate exceeds the float range at rate {_fmt(values['rate'])}")
         lines.append(f"physical time at rate {_fmt(values['rate'])}: t = {_fmt(t_phys)}")
@@ -564,9 +554,9 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> tuple[int, list[str]]:
     c0_phi = concurrence_x(phi)
     mismatch = inf_norm_diff(apply_local_unitary(to_dense(psi), flip_a_unitary()), to_dense(phi))
     spec = ChannelSpec("amplitude")
-    fate_psi = _esd_doc(esd_time_numeric(psi, spec, horizon=horizon, tol=tol))
-    fate_phi = _esd_doc(esd_time_numeric(phi, spec, horizon=horizon, tol=tol))
-    analytic_phi = _esd_doc(_analytic_fate("werner-phi", fid, spec, horizon))
+    fate_psi, text_psi = _fate(esd_time_numeric(psi, spec, horizon=horizon, tol=tol))
+    fate_phi, text_phi = _fate(esd_time_numeric(phi, spec, horizon=horizon, tol=tol))
+    analytic_phi, text_analytic = _fate(_analytic_fate("werner-phi", fid, spec, horizon))
     doc = _meta(
         "demo-local-ops", values,
         fidelity=fid, initial_concurrence_psi=c0_psi, initial_concurrence_phi=c0_phi,
@@ -580,11 +570,11 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> tuple[int, list[str]]:
         "local map i*(X x I) on qubit A takes werner-psi onto werner-phi; "
         f"max entry mismatch = {_fmt(mismatch)}",
         "under equal-rate amplitude noise:",
-        f"  werner-psi: {_esd_phrase(fate_psi)}",
-        f"  werner-phi: {_esd_phrase(fate_phi)}",
+        f"  werner-psi: {text_psi}",
+        f"  werner-phi: {text_phi}",
     ]
     if analytic_phi is not None:
-        lines.append(f"  werner-phi analytic: {_esd_phrase(analytic_phi)}")
+        lines.append(f"  werner-phi analytic: {text_analytic}")
     return 0, _report(values, doc, lines)
 
 

@@ -220,7 +220,7 @@ def test_propagate_x_matches_kraus_sum():
             assert inf_norm_diff(fast, slow) <= 1e-12
 
 
-def test_propagate_x_unequal_rates_fall_back_to_kraus_sum():
+def test_propagate_x_unequal_rates_closed_form_matches_kraus_sum():
     # the closed form at unequal rates lands on the dense Kraus sum
     rng = np.random.default_rng(92)
     for kind in ("amplitude", "equalizing"):

@@ -22,7 +22,7 @@ from xkraus import (
 from xkraus import cli
 from xkraus.channels import CHANNEL_KINDS, _tau_spec
 from xkraus.cli import main
-from xkraus.entanglement import _Expansion, _first_positive
+from xkraus.entanglement import EsdResult, _Expansion, _first_positive
 
 LN_5_5 = 1.7047480922384253
 
@@ -573,6 +573,27 @@ def test_esd_separable_and_alive_paths(capsys):
     code, out, _ = run(capsys, "esd", "--channel", "amplitude", "--fidelity", "0.9")
     assert code == 0
     assert "alive at horizon" in out
+
+
+@pytest.mark.parametrize("result, doc, phrase", [
+    (EsdResult.dies(LN_5_5), {"status": "dies", "tau": LN_5_5}, "dies at tau = {tau}"),
+    (EsdResult.alive_at_horizon(800.0, 0.0),
+     {"status": "alive", "horizon_tau": 800.0, "concurrence_at_horizon": 0.0},
+     "alive at horizon tau = {horizon_tau} with concurrence {concurrence_at_horizon}"),
+    (EsdResult.initially_separable(), {"status": "separable"}, "initially separable"),
+], ids=["dies", "alive-below-float-range", "separable"])
+def test_fate_renders_the_object_the_oracle_reads_and_the_same_numbers_as_text(result, doc, phrase):
+    # the keys bench/checker.judge_fate reads for each status, and the
+    # phrase prints each of the object's numbers through _fmt
+    got_doc, got_phrase = cli._fate(result)
+    assert got_doc == doc
+    assert [type(v) for v in got_doc.values()] == [type(v) for v in doc.values()]
+    numbers = {key: cli._fmt(value) for key, value in doc.items() if key != "status"}
+    assert got_phrase == phrase.format(**numbers)
+
+
+def test_fate_of_no_result_has_no_object():
+    assert cli._fate(None) == (None, "not available for this configuration")
 
 
 def test_esd_pure_werner_phi_survives_amplitude_noise(capsys):

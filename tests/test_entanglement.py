@@ -251,7 +251,7 @@ def test_numeric_fates_agree_with_the_benchmark_oracle(monkeypatch):
     from checker import judge_fate
     from workloads import random_x_params
 
-    from xkraus.cli import _esd_doc
+    from xkraus.cli import _fate
 
     rng = random.Random(2005)
     wrong, judged = [], 0
@@ -273,7 +273,7 @@ def test_numeric_fates_agree_with_the_benchmark_oracle(monkeypatch):
         if result.status == ALIVE and result.c_final == 0.0:
             continue  # alive below the float64 range, where the oracle's concurrence is not
         judged += 1
-        problem = judge_fate(values, _esd_doc(result))
+        problem = judge_fate(values, _fate(result)[0])
         if problem:
             wrong.append((values, problem))
     assert wrong == []
@@ -627,6 +627,15 @@ def test_critical_fidelity_analytic_value():
 def test_critical_fidelity_numeric_matches_analytic():
     numeric = critical_fidelity_numeric()
     assert abs(numeric - critical_fidelity_amplitude()) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="the search locates the boundary at the horizon, F*(20), not F* itself")
+def test_critical_fidelity_numeric_within_f_tol_at_a_short_horizon():
+    # at horizon 20 the numeric boundary lies 2.957e-10 from the analytic
+    # one, three times f_tol; at horizon 60 the two agree exactly
+    f_tol = 1e-10
+    numeric = critical_fidelity_numeric(horizon=20.0, f_tol=f_tol)
+    assert abs(numeric - critical_fidelity_amplitude()) <= f_tol
 
 
 def test_critical_fidelity_straddles_fates():

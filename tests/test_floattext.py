@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import warnings
 from decimal import Decimal
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -12,14 +11,12 @@ import pytest
 from xkraus import _floattext, cli
 from xkraus.channels import CHANNEL_KINDS
 
-SPECS = [""]  # format(v, "") is repr(v)
 
-
-def _check(values: np.ndarray, spec: str) -> None:
+def _check(values: np.ndarray) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _floattext.texts(values)
-    want = np.array(list(map(format, values.tolist(), repeat(spec))), dtype=got.dtype)
+    want = np.array(list(map(repr, values.tolist())), dtype=got.dtype)
     wrong = np.flatnonzero(got != want)
     assert not wrong.size, [(values[i], got[i], want[i]) for i in wrong[:5]]
 
@@ -50,17 +47,15 @@ def _special() -> np.ndarray:
     return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=["repr"])
-def test_texts_equal_python_on_every_bit_pattern(spec):
+def test_texts_equal_python_on_every_bit_pattern():
     # a million doubles drawn over all finite bit patterns, subnormals included
     rng = np.random.default_rng(18)
     bits = rng.integers(0, 0x7FF0_0000_0000_0000, 10**6, dtype=np.int64)
-    _check(bits.view(np.float64) * rng.choice([-1.0, 1.0], bits.size), spec)
+    _check(bits.view(np.float64) * rng.choice([-1.0, 1.0], bits.size))
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=["repr"])
 @pytest.mark.parametrize("kind", ["uniform", "powers", "ties", "short", "special"])
-def test_texts_equal_python_on_hard_cases(spec, kind):
+def test_texts_equal_python_on_hard_cases(kind):
     rng = np.random.default_rng(7)
     values = {
         "uniform": lambda: rng.random(100000),
@@ -69,10 +64,10 @@ def test_texts_equal_python_on_hard_cases(spec, kind):
         "short": lambda: _short_decimals(rng),
         "special": _special,
     }[kind]()
-    _check(values, spec)
+    _check(values)
 
 
-def _sweep_cells(monkeypatch, path, channel: str, fmt: str) -> np.ndarray:
+def _sweep_cells(monkeypatch, path, channel: str) -> np.ndarray:
     """Every cell of the default sweep that reached the formatter."""
     seen = []
     texts = _floattext.texts
@@ -82,15 +77,14 @@ def _sweep_cells(monkeypatch, path, channel: str, fmt: str) -> np.ndarray:
         return texts(x)
 
     monkeypatch.setattr(_floattext, "texts", spy)
-    assert cli.main(["sweep", "--channel", channel, "--format", fmt, "--out", str(path)]) == 0
+    assert cli.main(["sweep", "--channel", channel, "--format", "json", "--out", str(path)]) == 0
     return np.concatenate(seen)
 
 
-@pytest.mark.parametrize("fmt, spec", [("json", "")])
 @pytest.mark.parametrize("channel", CHANNEL_KINDS)
-def test_default_sweep_cells_are_exact_and_mostly_certified(monkeypatch, tmp_path, channel, fmt, spec):
-    cells = _sweep_cells(monkeypatch, tmp_path / "grid.out", channel, fmt)
-    _check(cells, spec)
+def test_default_sweep_cells_are_exact_and_mostly_certified(monkeypatch, tmp_path, channel):
+    cells = _sweep_cells(monkeypatch, tmp_path / "grid.out", channel)
+    _check(cells)
     # the fast path, not Python's own text, renders nearly every nonzero cell
     certified = _floattext._digits(cells)[3]
     assert certified[cells != 0].mean() >= 0.95

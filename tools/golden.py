@@ -19,6 +19,12 @@ so that they do not depend on the terminal).  Two checkouts agree where
 their lines agree:
 
     diff <(python tools/golden.py old/src) <(python tools/golden.py src)
+
+``tools/golden.txt`` holds the lines of the committed code, and
+``tests/test_golden.py`` runs the same set in-process against it.  A change
+that means to change an output regenerates it:
+
+    python tools/golden.py src > tools/golden.txt
 """
 
 from __future__ import annotations
@@ -30,8 +36,12 @@ import os
 import shlex
 import sys
 from pathlib import Path
+from types import ModuleType
 
 SEEDS = range(1, 6)
+
+# where _command_set imports the benchmark's command lists from
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # the reproducers of fixed defects, each once a wrong answer or a crash
 FIXED = [
@@ -147,7 +157,8 @@ PRINTS = [["--version"], ["--help"]] + [
 
 
 def _command_set() -> list[list[str]]:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    """The commands, in order; imports workloads from BENCH, which must be on
+    sys.path."""
     from workloads import WORKLOADS, commands
 
     argvs = [cmd.argv for w in WORKLOADS for seed in SEEDS for cmd in commands(w, seed)]
@@ -159,6 +170,18 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def fingerprints(cli: ModuleType) -> list[str]:
+    """One line per command of the set, run through cli.main: the digests
+    of its stdout and stderr, its exit code and its argv."""
+    lines = []
+    for argv in _command_set():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        lines.append(f"{_digest(out.getvalue())} {_digest(err.getvalue())} {code} {shlex.join(argv)}")
+    return lines
+
+
 def main(src: str) -> int:
     src_dir = Path(src).resolve()
     sys.path.insert(0, str(src_dir))
@@ -168,11 +191,8 @@ def main(src: str) -> int:
         print(f"xkraus was imported from {cli.__file__}, not from {src_dir}", file=sys.stderr)
         return 2
     os.environ["COLUMNS"] = "80"
-    for argv in _command_set():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
-        print(_digest(out.getvalue()), _digest(err.getvalue()), code, shlex.join(argv))
+    sys.path.insert(0, str(BENCH))
+    print(*fingerprints(cli), sep="\n")
     return 0
 
 
