@@ -25,11 +25,12 @@ names; a search result is rendered only by ``_fate``, as both at once.
 ``evolve`` and ``sweep`` share ``_grid``: it evolves the start
 states in blocks of at most ``_BLOCK_ROWS`` rows (whole starts, or pieces
 of one start's rows if it has more), one broadcast call of the
-``propagate_x`` kernel per block, checks every block in order, and only
-then returns the CSV, or JSON byte-identical to
-``json.dumps(doc, indent=2)``, as a generator of one chunk per start in a
-block.  Only the first block is kept; the generator evolves each later one
-again, so a grid's memory is bounded by one block, whatever its size.
+``propagate_x`` kernel per block, and returns the CSV, or JSON
+byte-identical to ``json.dumps(doc, indent=2)``, as a generator of one
+chunk per start in a block.  Each block is evolved once, as it is
+rendered, so a grid's memory is bounded by one block, whatever its size.
+Only the starts are checked: ``XState``'s rule holds at every tau once it
+holds at tau = 0, since no channel adds negative weight.
 ``_grid_chunks`` takes each column of a block once: the tau axis, or any
 column constant across the block's starts, once per block, a column
 constant along tau once per start, and a column bit-for-bit equal to an
@@ -37,7 +38,7 @@ earlier one as that column.  JSON cells are Python's own ``repr``, every
 distinct value of a block rendered in one call of ``_floattext.texts``;
 CSV cells are CPython's ``%.12g``, formatted inside the row where a
 column varies both ways and rendered once for the rest.  A command that
-fails writes nothing.
+fails writes nothing: every check runs before the first chunk.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -78,7 +79,6 @@ from .entanglement import (
 from .linalg import NumericalFailureError, inf_norm_diff
 from .states import (
     XState,
-    _check_x,
     apply_local_unitary,
     flip_a_unitary,
     to_dense,
@@ -262,7 +262,7 @@ def _default_tau_max(values: dict[str, Any]) -> float:
 _CSV_ROW = b",".join([b"%s"] * len(_CSV_FIELDS)) + b"\n"
 _JSON_RECORD = b"    {\n" + b",\n".join(b'      "%s": %%s' % key.encode() for key in _CSV_FIELDS) + b"\n    }"
 
-# Most grid rows evolved, checked and rendered at once: a block holds this
+# Most grid rows evolved and rendered at once: a block holds this
 # many rows or fewer, whole starts or one piece of a start.  It bounds a
 # grid's working set, the text of a block's cells included.
 _BLOCK_ROWS = 1024
@@ -291,18 +291,18 @@ def _grid(
     """Evolve each (fidelity, state) start along the tau grid and return
     one row per point, start-major, with the fields _CSV_FIELDS.
 
-    The starts were checked when built.  They are evolved in blocks of at
+    The starts were checked when built, and XState's rule then holds at
+    every tau (no channel adds negative weight), so no evolved row is
+    checked again.  The row generator evolves the starts in blocks of at
     most _BLOCK_ROWS rows, whole starts, or pieces of one start's rows if
     it has more, by one broadcast call of the propagate_x kernel per block,
     with per-tau factors from propagate_x's own math.exp, taken in tau
     units from the relative rates of _tau_spec, so every number rounds as
     in the float rule at time tau; np.hypot of a coherence, or np.abs of
-    one with no imaginary part, equals abs() of the complex.  Every block
-    passes the XState check, in order, before this returns, and only the
-    first is kept: the row generator evolves each later block again, bit
-    for bit as before, so memory is bounded by the block, not by the
-    grid.  The rows are rendered while written, one chunk per start in a
-    block, in the cell rule of --format (_grid_chunks).
+    one with no imaginary part, equals abs() of the complex.  Each block is
+    evolved once and rendered while written, one chunk per start in a
+    block, in the cell rule of --format (_grid_chunks), so memory is
+    bounded by the block, not by the grid.
     """
     tau_spec = _tau_spec(spec)
     steps = values["steps"]
@@ -320,22 +320,13 @@ def _grid(
         gamma_a, gamma_b = np.array([_time_factors(tau_spec, tau) for tau in taus.tolist()]).T
         return taus, gamma_a, gamma_b
 
-    def evolve(first: int, lo: int) -> list[np.ndarray]:
-        _, gamma_a, gamma_b = factors(lo)
-        a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *(x[first:first + per_block] for x in columns))
-        abs_z, abs_w = (np.hypot(x.real, x.imag) if x.dtype.kind == "c" else np.abs(x) for x in (z, w))
-        return [a, b, c, d, abs_z, abs_w]
-
-    kept = [evolve(0, 0)]  # popped by the row generator, so freed once rendered
-    _check_x(*kept[0])
-    for first, lo in blocks[1:]:
-        _check_x(*evolve(first, lo))
-
     def block(first: int, lo: int) -> list[np.ndarray]:
         """The tau, concurrence and value columns of one block."""
-        cols = kept.pop() if first == lo == 0 else evolve(first, lo)
-        concurrence = 2.0 * _margin(*cols, _larger, np.sqrt)
-        return [np.broadcast_to(factors(lo)[0], concurrence.shape), concurrence, *cols]
+        taus, gamma_a, gamma_b = factors(lo)
+        a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *(x[first:first + per_block] for x in columns))
+        abs_z, abs_w = (np.hypot(x.real, x.imag) if x.dtype.kind == "c" else np.abs(x) for x in (z, w))
+        concurrence = 2.0 * _margin(a, b, c, d, abs_z, abs_w, _larger, np.sqrt)
+        return [np.broadcast_to(taus, concurrence.shape), concurrence, a, b, c, d, abs_z, abs_w]
 
     def rows(row: bytes, sep: bytes, fid_text: list[bytes]) -> Iterator[str]:
         for first, lo in blocks:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import io
 import json
@@ -23,6 +24,7 @@ from xkraus import cli
 from xkraus.channels import CHANNEL_KINDS, _tau_spec
 from xkraus.cli import main
 from xkraus.entanglement import EsdResult, _Expansion, _first_positive
+from xkraus.states import _negative_weight
 
 LN_5_5 = 1.7047480922384253
 
@@ -432,48 +434,23 @@ def test_failed_grid_leaves_no_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_grid_failing_its_check_in_a_later_block_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
-    # every block is checked before the first row is written: a state
-    # broken in the second of three blocks fails the command with no output
-    checked, cli_check = [], cli._check_x
-
-    def check(a, *rest):
-        checked.append(len(a))
-        cli_check(a + 1.0 if len(checked) == 2 else a, *rest)
-
-    monkeypatch.setattr(cli, "_check_x", check)
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2 * 11)
-    argv = ["sweep", "--channel", "amplitude", "--fidelity-steps", "5", "--steps", "11", "--format", fmt]
-    path = tmp_path / "grid.out"
-    for out_flags in ([], ["--out", str(path)]):
-        checked.clear()
-        code, out, err = run(capsys, *argv, *out_flags)
-        assert (code, out, checked) == (2, "", [2, 2])
-        assert err.startswith("error: populations must sum to 1")
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_grid_whose_second_block_fails_its_check_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
-    # the start passes XState's 1e-12 tolerance and so does its first block
-    # of 1,024 rows, but its population a falls below -1e-12 in the second
-    checked, cli_check = [], cli._check_x
-
-    def check(a, *rest):
-        checked.append(a.size)
-        cli_check(a, *rest)
-
-    monkeypatch.setattr(cli, "_check_x", check)
-    argv = ["evolve", "--channel", "amplitude", "--family", "custom-x",
-            "--x-params=-1e-12,-5e-13,0.5,0.5000000000015,0,0,0,0", "--rate-a", "0", "--rate-b", "1",
-            "--tau-max", "2.5", "--steps", "4097", "--format", fmt]
+    # the start whose population a fell below -1e-12 in its grid's second
+    # block of 1,024 rows: its negative weight is 1.5e-12, so it fails
+    # before anything is evolved, whatever the tau range, and esd too
+    evolved = []
+    monkeypatch.setattr(cli, "_evolve_x", lambda *args: evolved.append(args))
+    start = ["--channel", "amplitude", "--family", "custom-x",
+             "--x-params=-1e-12,-5e-13,0.5,0.5000000000015,0,0,0,0", "--rate-a", "0", "--rate-b", "1"]
     path = tmp_path / "grid.out"
-    for out_flags in ([], ["--out", str(path)]):
-        checked.clear()
-        code, out, err = run(capsys, *argv, *out_flags)
-        assert (code, out, checked) == (2, "", [1024, 1024])
-        assert err == "error: negative population -1.0001060859642033e-12\n"
-    assert not path.exists()
+    for argv in (["evolve", *start, "--tau-max", "0.5", "--steps", "11", "--format", fmt],
+                 ["evolve", *start, "--tau-max", "2.5", "--steps", "4097", "--format", fmt],
+                 ["esd", *start, "--format", "json" if fmt == "json" else "text"]):
+        for out_flags in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, *argv, *out_flags)
+            assert (code, out, evolved) == (2, "", [])
+            assert err == "error: not positive semidefinite: its negative eigenvalues sum to -1.5e-12\n"
+            assert not path.exists()
 
 
 @pytest.mark.parametrize("tau_end, steps", [(10.0, 201), (7.3, 4097), (1e17, 11), (5e-324, 3), (1e-310, 40001)])
@@ -496,7 +473,7 @@ def _traced_peak(argv: list[str], path: Path) -> int:
 
 
 def test_grid_memory_does_not_grow_with_the_grid(tmp_path):
-    # starts are evolved, checked and rendered a block at a time, so twice
+    # starts are evolved and rendered a block at a time, so twice
     # the starts take no more memory at the peak (one block is 5 starts)
     path = tmp_path / "grid.out"
 
@@ -508,8 +485,8 @@ def test_grid_memory_does_not_grow_with_the_grid(tmp_path):
 
 
 def test_one_long_start_is_rendered_in_pieces(tmp_path):
-    # a start with more rows than a block is evolved, checked and rendered
-    # in pieces of at most _BLOCK_ROWS rows, so its memory does not grow with --steps
+    # a start with more rows than a block is evolved and rendered in
+    # pieces of at most _BLOCK_ROWS rows, so its memory does not grow with --steps
     path = tmp_path / "grid.out"
 
     def peak(steps: int) -> int:
@@ -518,6 +495,109 @@ def test_one_long_start_is_rendered_in_pieces(tmp_path):
 
     peak(8001)  # warm-up: first-call imports and caches
     assert peak(40001) - peak(8001) <= 0.25e6
+
+
+def test_default_sweep_evolves_each_block_once(capsys, monkeypatch):
+    # 101 starts of 201 rows in blocks of 5 starts: 21 blocks, 21 kernel calls
+    calls, evolve = [], cli._evolve_x
+    monkeypatch.setattr(cli, "_evolve_x", lambda *args: calls.append(len(args[3])) or evolve(*args))
+    code, _, err = run(capsys, "sweep", "--channel", "amplitude")
+    assert (code, err) == (0, "")
+    assert calls == [5] * 20 + [1]
+
+
+_RATE_PAIRS = [(1.0, 1.0), (0.3, 1.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def _weight(state: XState) -> float:
+    """The negative eigenvalues of a state summed in magnitude, as XState's rule sums them."""
+    return _negative_weight(state.b, state.c, abs(state.z)) + _negative_weight(state.a, state.d, abs(state.w))
+
+
+def _block(rng: np.random.Generator, big: float, small: float) -> tuple[float, float, complex]:
+    """p, q and x of a block [[p, x], [x*, q]] with eigenvalues big and
+    small, rotated by a random angle, by 0 or pi/2 (x = 0, and a population
+    0 where an eigenvalue is), or by one whose cosine is 1e-150."""
+    cos, sin = [(None, None), (1.0, 0.0), (0.0, 1.0), (1e-150, 1.0)][rng.integers(4)]
+    if cos is None:
+        angle = rng.uniform(0.0, math.pi / 2)
+        cos, sin = math.cos(angle), math.sin(angle)
+    phase = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    p, q = big * cos * cos + small * sin * sin, big * sin * sin + small * cos * cos
+    return float(p), float(q), complex((big - small) * cos * sin * phase)
+
+
+def _edge_params(rng: np.random.Generator, weight: float) -> tuple:
+    """X parameters with negative eigenvalues summing to -weight, split at
+    random between the blocks, and a trace of 1 or 1 +- 0.9e-12; at weight
+    0 a block is pure or zero."""
+    trace = 1.0 + rng.choice([0.0, 0.9e-12, -0.9e-12])
+    inner = (trace + weight) * rng.choice([0.0, rng.uniform(), 1.0])
+    share = rng.uniform()
+    b, c, z = _block(rng, inner, -weight * share)
+    a, d, w = _block(rng, trace + weight - inner, -weight * (1.0 - share))
+    return a, b, c, d, z, w
+
+
+def _edge_starts(count: int) -> list[XState]:
+    """Valid starts on the edge of XState's rule, negative weight in [0, 0.999e-12]."""
+    rng = np.random.default_rng(41)
+    return [XState(*_edge_params(rng, rng.choice([0.0, rng.uniform(0.0, 0.999e-12), 0.999e-12])))
+            for _ in range(count)]
+
+
+def _x_params_flag(a: float, b: float, c: float, d: float, z: complex, w: complex) -> str:
+    return "--x-params=" + ",".join(map(repr, (a, b, c, d, z.real, z.imag, w.real, w.imag)))
+
+
+def test_channels_never_add_negative_weight_to_a_start():
+    # XState's rule holds at every tau: no kind and rate pair lets a start
+    # on its edge gain negative weight beyond rounding, so propagate_x, which
+    # checks the state it returns, never raises
+    for start in _edge_starts(1000):
+        weight = _weight(start)
+        for kind in CHANNEL_KINDS:
+            for rates in _RATE_PAIRS:
+                spec = ChannelSpec(kind, *rates)
+                for tau in (0.0, 1e-300, 0.5, 7.0, 120.0, 1e300):
+                    assert _weight(propagate_x(start, spec, tau)) <= weight + 1e-15, (start, spec, tau)
+
+
+def test_grid_of_a_start_on_the_edge_runs_at_every_tau_range(tmp_path, capsys):
+    # a valid start gives its whole grid, at short and at very long times;
+    # one with 1.1e-12 of negative weight fails before any output
+    rng = np.random.default_rng(43)
+    path = tmp_path / "grid.out"
+    for i, start in enumerate(_edge_starts(300)):
+        kind, (rate_a, rate_b) = CHANNEL_KINDS[i % 3], _RATE_PAIRS[i % 4]
+        argv = ["evolve", "--channel", kind, "--family", "custom-x", "--rate-a", repr(rate_a), "--rate-b", repr(rate_b),
+                "--steps", "5"]
+        bad = _edge_params(rng, 1.1e-12)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            XState(*bad)
+        for tau_max in ("0.5", "1e17"):
+            code, out, err = run(capsys, *argv, "--tau-max", tau_max,
+                                 _x_params_flag(start.a, start.b, start.c, start.d, start.z, start.w))
+            assert (code, err, len(out.splitlines())) == (0, "", 6)
+            for out_flags in ([], ["--out", str(path)]):
+                code, out, err = run(capsys, *argv, "--tau-max", tau_max, _x_params_flag(*bad), *out_flags)
+                assert (code, out) == (2, "")
+                assert err.startswith("error: not positive semidefinite: its negative eigenvalues sum to ")
+                assert float(err.rsplit(" ", 1)[1]) == pytest.approx(-1.1e-12, abs=1e-15)
+                assert not path.exists()
+
+
+def test_out_file_carries_the_bytes_of_stdout(tmp_path, capsys, monkeypatch):
+    # the benchmark writes only through --out, and tools/golden.py hashes
+    # only stdout: both must be the same bytes for every benchmark command
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import WORKLOADS, commands
+
+    path = tmp_path / "command.out"
+    for argv in [cmd.argv for w in WORKLOADS for cmd in commands(w, 1)]:
+        code, out, err = run(capsys, *argv)
+        assert (main(argv + ["--out", str(path)]), capsys.readouterr()) == (code, ("", err)), argv
+        assert path.read_bytes() == out.encode(), argv
 
 
 @pytest.mark.parametrize("channel, tiny, unit", [

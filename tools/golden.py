@@ -80,7 +80,8 @@ SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200
 # rows, each in pieces of 1024 rows and 1; then grids whose cells
 # the vectorized text leaves to Python's own: populations that pass through
 # subnormals to 0, short decimals and powers of two, and taus in exponent
-# notation
+# notation; last, a start with 0.9e-12 of negative weight, within XState's
+# rule, whose population b tends to -9e-13
 GRIDS = [
     [*grid, "--format", fmt]
     for fmt in ("csv", "json")
@@ -102,6 +103,9 @@ GRIDS = [
         ["evolve", "--channel", "phase", "--family", "custom-x",
          "--x-params", "0.25,0.25,0.25,0.25,0.125,0,0.0625,0", "--tau-max", "4", "--steps", "9"],
         ["evolve", "--channel", "equalizing", "--family", "werner-phi", "--fidelity", "0.9",
+         "--tau-max", "1e17", "--steps", "11"],
+        ["evolve", "--channel", "amplitude", "--family", "custom-x",
+         "--x-params=-6e-13,-3e-13,0.5,0.5000000000009,0,0,0,0", "--rate-a", "0", "--rate-b", "1",
          "--tau-max", "1e17", "--steps", "11"],
     )
 ]
@@ -127,6 +131,14 @@ ERRORS = [
     ["evolve", "--channel", "amplitude", "--family", "custom-x",
      "--x-params=-1e-12,-5e-13,0.5,0.5000000000015,0,0,0,0", "--rate-a", "0", "--rate-b", "1",
      "--tau-max", "2.5", "--steps", "4097"],
+    ["esd", "--channel", "amplitude", "--family", "custom-x",
+     "--x-params=-1e-12,-5e-13,0.5,0.5000000000015,0,0,0,0", "--rate-a", "0", "--rate-b", "1"],
+    ["evolve", "--channel", "amplitude", "--family", "custom-x",
+     "--x-params=-1e-12,-1e-13,0.5,0.5000000000011,0,0,0,0", "--rate-a", "0", "--rate-b", "1",
+     "--tau-max", "0.5", "--steps", "11"],
+    ["evolve", "--channel", "amplitude", "--family", "custom-x",
+     "--x-params=-1e-12,-1e-13,0.5,0.5000000000011,0,0,0,0", "--rate-a", "0", "--rate-b", "1",
+     "--tau-max", "1e17", "--steps", "11"],
     ["sweep", "--channel", "phase", "--family", "custom-x"],
     ["sweep", "--channel", "phase", "--fidelity-min", "0.9", "--fidelity-max", "0.6"],
     ["critical-fidelity", "--horizon", "-1"],
