@@ -35,10 +35,11 @@ holds at tau = 0, since no channel adds negative weight.
 column constant across the block's starts, once per block, a column
 constant along tau once per start, and a column bit-for-bit equal to an
 earlier one as that column.  JSON cells are Python's own ``repr``, every
-distinct value of a block rendered in one call of ``_floattext.texts``;
-CSV cells are CPython's ``%.12g``, formatted inside the row where a
-column varies both ways and rendered once for the rest.  A command that
-fails writes nothing: every check runs before the first chunk.
+distinct value of a block rendered by one orjson call in
+``_floattext.texts``; CSV cells are CPython's ``%.12g``, formatted inside
+the row where a column varies both ways and rendered once for the rest.
+A command that fails writes nothing: every check runs before the first
+chunk.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -366,7 +367,7 @@ def _grid_chunks(
     column's cells; otherwise its cells are taken once along tau if it is
     constant across the starts, as the tau axis is, once per start if
     constant along tau, and once if both.  fmt picks the cell rule: for
-    "json", repr(x), the block's cells rendered in one call of
+    "json", repr(x), the block's cells rendered by one orjson call in
     _floattext.texts; for "csv", %.12g, formatted inside the row where a
     column varies both ways and rendered once for every other cell.
     """
@@ -386,7 +387,7 @@ def _grid_chunks(
         size += piece.size
     cells = np.concatenate([p.ravel() for p in pieces])
     if fmt == "json":
-        texts, cell = _floattext.texts(cells).tolist(), b"%s"
+        texts, cell = _floattext.texts(cells), b"%s"
     else:
         # floats for the row's %.12g; the cells of a column that does not
         # vary both ways become text here

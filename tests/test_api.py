@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +26,15 @@ def test_package_exports_each_name_once():
     # xkraus.__all__ joins its modules' lists; a name in two of them would be
     # shadowed silently by the later star import
     assert len(xkraus.__all__) == len(set(xkraus.__all__))
+
+
+def test_importing_the_package_loads_neither_the_cli_nor_orjson():
+    # orjson renders JSON grid cells only; the library, and the import that
+    # the benchmark's setup_s times, never loads it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xkraus.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, xkraus; print(sorted({'orjson', 'xkraus.cli'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

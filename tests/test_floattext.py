@@ -16,9 +16,10 @@ def _check(values: np.ndarray) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _floattext.texts(values)
-    want = np.array(list(map(repr, values.tolist())), dtype=got.dtype)
-    wrong = np.flatnonzero(got != want)
-    assert not wrong.size, [(values[i], got[i], want[i]) for i in wrong[:5]]
+    floats = values.tolist()
+    assert len(got) == len(floats)
+    wrong = [(v, g) for v, g in zip(floats, got) if g != repr(v).encode()]
+    assert not wrong, wrong[:5]
 
 
 def _powers_and_neighbours() -> np.ndarray:
@@ -47,6 +48,20 @@ def _special() -> np.ndarray:
     return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308])
 
 
+def _bands(rng: np.random.Generator) -> np.ndarray:
+    # the edges of orjson's layout bands, a few ulps either side, powers
+    # of ten and their neighbours, and log-uniform draws over the bands
+    # that orjson lays out differently from repr
+    edges = np.array([1e-9, 1e-5, 1e-4, 1e16])
+    steps = [edges]
+    for _ in range(4):
+        steps = [np.nextafter(steps[0], 0.0), *steps, np.nextafter(steps[-1], np.inf)]
+    powers = np.array([float(f"1e{k}") for k in range(-12, 21)])
+    drawn = 10.0 ** rng.uniform(-12, -3, 200000)
+    values = np.concatenate([*steps, powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), drawn])
+    return np.concatenate([values, -values])
+
+
 def test_texts_equal_python_on_every_bit_pattern():
     # a million doubles drawn over all finite bit patterns, subnormals included
     rng = np.random.default_rng(18)
@@ -54,7 +69,7 @@ def test_texts_equal_python_on_every_bit_pattern():
     _check(bits.view(np.float64) * rng.choice([-1.0, 1.0], bits.size))
 
 
-@pytest.mark.parametrize("kind", ["uniform", "powers", "ties", "short", "special"])
+@pytest.mark.parametrize("kind", ["uniform", "powers", "ties", "short", "special", "bands", "empty", "one"])
 def test_texts_equal_python_on_hard_cases(kind):
     rng = np.random.default_rng(7)
     values = {
@@ -63,6 +78,9 @@ def test_texts_equal_python_on_hard_cases(kind):
         "ties": lambda: _ties(rng),
         "short": lambda: _short_decimals(rng),
         "special": _special,
+        "bands": lambda: _bands(rng),
+        "empty": lambda: np.zeros(0),
+        "one": lambda: np.array([1.5e-05]),
     }[kind]()
     _check(values)
 
@@ -82,9 +100,5 @@ def _sweep_cells(monkeypatch, path, channel: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("channel", CHANNEL_KINDS)
-def test_default_sweep_cells_are_exact_and_mostly_certified(monkeypatch, tmp_path, channel):
-    cells = _sweep_cells(monkeypatch, tmp_path / "grid.out", channel)
-    _check(cells)
-    # the fast path, not Python's own text, renders nearly every nonzero cell
-    certified = _floattext._digits(cells)[3]
-    assert certified[cells != 0].mean() >= 0.95
+def test_default_sweep_cells_are_exact(monkeypatch, tmp_path, channel):
+    _check(_sweep_cells(monkeypatch, tmp_path / "grid.out", channel))

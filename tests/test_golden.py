@@ -2,8 +2,9 @@
 
 ``tools/golden.txt`` is ``python tools/golden.py src`` at the committed code:
 one line per command with the digests of its stdout and stderr, its exit
-code and its argv.  The digests depend on the platform's libm, numpy and
-Python; a change that means to change an output regenerates the file.
+code and its argv.  The digests depend on the platform's libm, numpy,
+orjson and Python; a change that means to change an output regenerates the
+file.
 """
 
 from __future__ import annotations

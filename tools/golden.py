@@ -21,7 +21,8 @@ their lines agree:
     diff <(python tools/golden.py old/src) <(python tools/golden.py src)
 
 ``tools/golden.txt`` holds the lines of the committed code, and
-``tests/test_golden.py`` runs the same set in-process against it.  A change
+``tests/test_golden.py`` runs the same set in-process against it.  The
+digests depend on the platform's libm, numpy, orjson and Python.  A change
 that means to change an output regenerates it:
 
     python tools/golden.py src > tools/golden.txt
@@ -77,11 +78,11 @@ SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200
 # zero for werner-psi, and unequal rates, where no two value columns are
 # equal; then grids of several blocks (cli._BLOCK_ROWS = 1024 rows): 41
 # starts of 101 rows, in blocks of 10 starts and 1, and 3 starts of 4097
-# rows, each in pieces of 1024 rows and 1; then grids whose cells
-# the vectorized text leaves to Python's own: populations that pass through
-# subnormals to 0, short decimals and powers of two, and taus in exponent
-# notation; last, a start with 0.9e-12 of negative weight, within XState's
-# rule, whose population b tends to -9e-13
+# rows, each in pieces of 1024 rows and 1; then grids whose cells test the
+# edges of the JSON cell text: populations that pass through subnormals to
+# 0, short decimals and powers of two, and taus in exponent notation;
+# last, a start with 0.9e-12 of negative weight, within XState's rule,
+# whose population b tends to -9e-13
 GRIDS = [
     [*grid, "--format", fmt]
     for fmt in ("csv", "json")
