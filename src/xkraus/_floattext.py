@@ -33,10 +33,8 @@ def texts(x: np.ndarray) -> list[bytes]:
     for i in np.flatnonzero((size >= 1e-9) & (size < 1e-5)).tolist():
         out[i] = out[i].replace(b"e-", b"e-0")
     for i in np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist():
-        text = out[i]
-        minus = text[:1] == b"-"
-        digits = text[6 + minus:]  # past [-]0.0000
-        out[i] = b"-"[:minus] + digits[:1] + (b"." + digits[1:] if len(digits) > 1 else b"") + b"e-05"
-    for i in np.flatnonzero(~(size < 1e16)).tolist():
+        sign, _, digits = out[i].partition(b"0.0000")
+        out[i] = sign + digits[:1] + (b"." + digits[1:] if digits[1:] else b"") + b"e-05"
+    for i in np.flatnonzero(~(size < 1e16)).tolist():  # nan too
         out[i] = repr(float(flat[i])).encode()
     return out
