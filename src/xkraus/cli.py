@@ -31,13 +31,11 @@ chunk per start in a block.  Each block is evolved once, as it is
 rendered, so a grid's memory is bounded by one block, whatever its size.
 Only the starts are checked: ``XState``'s rule holds at every tau once it
 holds at tau = 0, since no channel adds negative weight.
-``_grid_chunks`` takes each column of a block once: the tau axis, or any
-column constant across the block's starts, once per block, a column
-constant along tau once per start, and a column bit-for-bit equal to an
-earlier one as that column.  JSON cells are Python's own ``repr``, every
-distinct value of a block rendered by one orjson call in
-``_floattext.texts``; CSV cells are CPython's ``%.12g``, formatted inside
-the row where a column varies both ways and rendered once for the rest.
+``_grid_chunks`` renders the tau axis once per block, and a column that
+keeps its first tau point's bits at every start once per start; every
+other cell is its own.  JSON cells are Python's own ``repr``, a block's
+rendered by one orjson call in ``_floattext.texts``; CSV cells are
+CPython's ``%.12g``.
 A command that fails writes nothing: every check runs before the first
 chunk.
 
@@ -299,18 +297,14 @@ def _grid(
     it has more, by one broadcast call of the propagate_x kernel per block,
     with per-tau factors from propagate_x's own math.exp, taken in tau
     units from the relative rates of _tau_spec, so every number rounds as
-    in the float rule at time tau; np.hypot of a coherence, or np.abs of
-    one with no imaginary part, equals abs() of the complex.  Each block is
-    evolved once and rendered while written, one chunk per start in a
-    block, in the cell rule of --format (_grid_chunks), so memory is
-    bounded by the block, not by the grid.
+    in the float rule at time tau; np.hypot of a coherence's parts equals
+    abs() of the complex.  Each block is evolved once and rendered while
+    written, one chunk per start in a block, in the cell rule of --format
+    (_grid_chunks), so memory is bounded by the block, not by the grid.
     """
     tau_spec = _tau_spec(spec)
     steps = values["steps"]
     columns = [np.array([[getattr(s, key)] for _, s in starts]) for key in "abcdzw"]
-    # a coherence column with no imaginary part evolves as floats x: |x| is
-    # then the hypot of the parts of the complex product, bit for bit
-    columns[4:] = [x if x.imag.any() else x.real for x in columns[4:]]
     per_block = max(1, _BLOCK_ROWS // steps)  # starts per block
     span = min(steps, _BLOCK_ROWS)  # tau points per block
     blocks = [(first, lo) for first in range(0, len(starts), per_block) for lo in range(0, steps, span)]
@@ -321,18 +315,18 @@ def _grid(
         gamma_a, gamma_b = np.array([_time_factors(tau_spec, tau) for tau in taus.tolist()]).T
         return taus, gamma_a, gamma_b
 
-    def block(first: int, lo: int) -> list[np.ndarray]:
-        """The tau, concurrence and value columns of one block."""
+    def block(first: int, lo: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The taus of one block and its concurrence and value columns."""
         taus, gamma_a, gamma_b = factors(lo)
         a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *(x[first:first + per_block] for x in columns))
-        abs_z, abs_w = (np.hypot(x.real, x.imag) if x.dtype.kind == "c" else np.abs(x) for x in (z, w))
+        abs_z, abs_w = (np.hypot(x.real, x.imag) for x in (z, w))
         concurrence = 2.0 * _margin(a, b, c, d, abs_z, abs_w, _larger, np.sqrt)
-        return [np.broadcast_to(taus, concurrence.shape), concurrence, a, b, c, d, abs_z, abs_w]
+        return taus, [concurrence, a, b, c, d, abs_z, abs_w]
 
     def rows(row: bytes, sep: bytes, fid_text: list[bytes]) -> Iterator[str]:
         for first, lo in blocks:
             texts = fid_text[first:first + per_block]
-            yield from _grid_chunks(row, values["format"], sep, texts, block(first, lo), sep if first or lo else b"")
+            yield from _grid_chunks(row, values["format"], sep, texts, *block(first, lo), sep if first or lo else b"")
 
     doc = _meta(
         command, values,
@@ -347,68 +341,46 @@ def _grid(
     return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, b"", fid_text))
 
 
-def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether 2-d integer arrays x and y, broadcast together, are equal
-    everywhere; their last elements are compared first, a cheap way out."""
-    return bool(x[-1, -1] == y[-1, -1] and (x == y).all())
-
-
 def _grid_chunks(
-    row: bytes, fmt: str, sep: bytes, fid_text: list[bytes], cols: list[np.ndarray], lead: bytes = b""
+    row: bytes, fmt: str, sep: bytes, fid_text: list[bytes], taus: np.ndarray, cols: list[np.ndarray],
+    lead: bytes = b"",
 ) -> Iterator[str]:
     """One chunk per start: its rows rendered by row, one %s per field,
     with sep between consecutive rows, also across chunks, and lead before
-    the first row (sep if an earlier block's rows came before).  cols
-    holds the tau column and then the value columns as (start, tau)
-    arrays; the fidelity, the second field, comes as each start's text.
+    the first row (sep if an earlier block's rows came before).  taus is
+    the block's tau axis, the first field, and cols holds the value columns
+    as (start, tau) arrays; the fidelity, the second field, comes as each
+    start's text.
 
-    Columns are compared by their exact bits, so -0.0 and 0.0 never share
-    text.  A column bit-for-bit equal to an earlier one reuses that
-    column's cells; otherwise its cells are taken once along tau if it is
-    constant across the starts, as the tau axis is, once per start if
-    constant along tau, and once if both.  fmt picks the cell rule: for
-    "json", repr(x), the block's cells rendered by one orjson call in
+    The tau axis is rendered once per block, and a column whose exact bits
+    equal its first tau point's at every start (so -0.0 and 0.0 differ)
+    once per start; every other cell is its own.  fmt picks the cell rule:
+    for "json", repr(x), the block's cells rendered by one orjson call in
     _floattext.texts; for "csv", %.12g, formatted inside the row where a
-    column varies both ways and rendered once for every other cell.
+    column varies along tau.
     """
-    bits = [col.view(np.int64) for col in cols]
-    # per column: where its cells start, and for how many starts and tau points
-    spots: list[tuple[int, int, int]] = []
-    pieces: list[np.ndarray] = []
-    size = 0
-    for j, b in enumerate(bits):
-        twin = next((k for k in range(j) if _same_bits(bits[k], b)), j)
-        if twin < j:
-            spots.append(spots[twin])
-            continue
-        piece = cols[j][:1 if _same_bits(b, b[:1]) else None, :1 if _same_bits(b, b[:, :1]) else None]
-        pieces.append(piece)
-        spots.append((size, *piece.shape))
-        size += piece.size
-    cells = np.concatenate([p.ravel() for p in pieces])
+    points = len(taus)
+    pieces = [col[:, :1] if (col.view(np.int64) == col[:, :1].view(np.int64)).all() else col for col in cols]
+    cells = np.concatenate([taus, *(p.ravel() for p in pieces)])
     if fmt == "json":
         texts, cell = _floattext.texts(cells), b"%s"
     else:
-        # floats for the row's %.12g; the cells of a column that does not
-        # vary both ways become text here
         texts, cell = cells.tolist(), b"%.12g"
-        for offset, starts, points in set(spots):
-            if starts == 1 or points == 1:
-                end = offset + starts * points
-                texts[offset:end] = [cell % v for v in texts[offset:end]]
+        texts[:points] = [cell % v for v in texts[:points]]
+    tau_text = texts[:points]
     for i in range(len(fid_text)):
-        fields, lists = [], []
-        for offset, starts, points in spots:
-            at = offset + (i if starts > 1 else 0) * points
-            if points == 1:
-                fields.append(texts[at])
+        fields, lists, at = [b"%s", fid_text[i]], [tau_text], points
+        for piece in pieces:
+            width = piece.shape[1]
+            here = at + i * width
+            if width == 1:
+                fields.append(cell % texts[here])
             else:
-                fields.append(cell if starts > 1 else b"%s")
-                lists.append(texts[at:at + points])
-        fields.insert(1, fid_text[i])
+                fields.append(cell)
+                lists.append(texts[here:here + width])
+            at += piece.size
         start_row = row % tuple(fields)
-        rows = zip(*lists) if lists else [()] * cols[0].shape[1]
-        yield ((sep if i else lead) + sep.join(map(start_row.__mod__, rows))).decode()
+        yield ((sep if i else lead) + sep.join(map(start_row.__mod__, zip(*lists)))).decode()
 
 
 def cmd_evolve(values: dict[str, Any]) -> tuple[int, Iterable[str]]:

@@ -22,7 +22,7 @@ from xkraus.states import XState, from_dense, random_x_state, to_dense, werner_p
 BELL_W = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
 
 
-def test_damping_frozen_point():
+def test_time_factors_frozen_point():
     gamma_a, gamma_b = _time_factors(ChannelSpec("phase", 1.0, 2.0), 2.0 * math.log(2.0))
     assert abs(gamma_a - 0.5) < 1e-15
     assert abs(gamma_b - 0.25) < 1e-15
@@ -30,7 +30,7 @@ def test_damping_frozen_point():
     assert abs(kraus_1q("phase", gamma_a)[1][0, 0] - math.sqrt(0.75)) < 1e-15
 
 
-def test_damping_at_zero_time_is_identity():
+def test_time_factors_at_zero_time_is_identity():
     for rate in (0.0, 0.5, 2.0):
         assert _time_factors(ChannelSpec("amplitude", rate, rate), 0.0) == (1.0, 1.0)
     # gamma = 1 gives omega = 0: every phase and transfer operator vanishes
@@ -38,7 +38,7 @@ def test_damping_at_zero_time_is_identity():
         assert not any(np.any(k) for k in kraus_1q(kind, 1.0)[1::2])
 
 
-def test_damping_zero_rate_never_decays():
+def test_time_factors_zero_rate_never_decays():
     assert _time_factors(ChannelSpec("amplitude", 0.0, 0.0), 100.0) == (1.0, 1.0)
     rho = to_dense(random_x_state(np.random.default_rng(95)))
     for kind in CHANNEL_KINDS:
@@ -46,7 +46,7 @@ def test_damping_zero_rate_never_decays():
         assert inf_norm_diff(out, rho) <= 1e-15
 
 
-def test_damping_rejects_bad_arguments():
+def test_time_factors_rejects_bad_arguments():
     # bad rates are rejected by ChannelSpec (test_channel_spec_validation)
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="time must be finite and >= 0"):

@@ -300,11 +300,12 @@ _GOLDEN = [
      {"fidelity_min": 0.5, "fidelity_max": 0.95, "fidelity_steps": 5, "tau_max": 2.0, "steps": 7}, 4.0),
     ("sweep", "amplitude", "werner-phi", 1.0, 1.0,
      {"fidelity_min": 0.6, "fidelity_max": 1.0, "fidelity_steps": 3, "tau_max": 8.0, "steps": 5}, None),
-    # grids whose columns share text: every start equal, so each column is
-    # constant across starts (and a, d and b, c pairwise bit-for-bit equal
-    # under equalizing noise); populations constant along tau under phase
-    # noise; abs_w zero throughout for werner-psi; and unequal rates, where
-    # no two value columns are equal
+    # grids whose columns repeat values: every start equal, so each column
+    # is constant across starts (and a, d and b, c pairwise bit-for-bit
+    # equal under equalizing noise); populations constant along tau under
+    # phase noise, the one case rendered once per start; abs_w zero
+    # throughout for werner-psi; and unequal rates, where no two value
+    # columns are equal
     ("sweep", "equalizing", "werner-psi", 1.3, 1.3,
      {"fidelity_min": 0.8, "fidelity_max": 0.8, "fidelity_steps": 4, "tau_max": 6.0, "steps": 7}, None),
     ("sweep", "phase", "werner-psi", 1.0, 1.0,
@@ -313,7 +314,7 @@ _GOLDEN = [
      {"fidelity_min": 0.3, "fidelity_max": 1.0, "fidelity_steps": 5, "tau_max": 9.0, "steps": 8}, 3.0),
     ("sweep", "amplitude", "werner-phi", 0.6, 1.4,
      {"fidelity_min": 0.4, "fidelity_max": 0.95, "fidelity_steps": 5, "tau_max": 7.0, "steps": 8}, None),
-    # z with a negative-zero imaginary part, evolved as a real column
+    # z with a negative-zero imaginary part, whose |z| is the hypot of its parts
     ("evolve", "amplitude", "custom-x", 1.0, 0.8,
      {"x_params": (0.3, 0.2, 0.2, 0.3, -0.1, -0.0, 0.12, -0.2), "tau_max": 6.0, "steps": 13}, None),
     # extreme cells: populations that pass through subnormals to 0, taus
@@ -412,12 +413,13 @@ def test_grid_output_matches_scalar_reference(tmp_path, capsys, monkeypatch, cas
 
 @pytest.mark.parametrize("fmt, zero, minus", [("csv", "0", "-0"), ("json", "0.0", "-0.0")], ids=["csv", "json"])
 def test_grid_chunks_keep_zero_and_negative_zero_apart(fmt, zero, minus):
-    # columns equal but for the sign of a zero share no text, and a copy of
-    # a column shares its text; fields: tau, fidelity, then cols[1:]
-    tau = np.broadcast_to(np.array([0.0, 0.5]), (2, 2))
+    # a column constant along tau but for the sign of a zero is rendered
+    # cell by cell, and a copy of a column renders equal text; fields: tau,
+    # fidelity, then cols
+    tau = np.array([0.0, 0.5])
     zeros, mixed = np.zeros((2, 2)), np.array([[0.0, -0.0], [-0.0, 0.0]])
-    cols = [tau, zeros, -zeros, mixed, -mixed, mixed.copy()]
-    text = "".join(cli._grid_chunks(b"%s,%s,%s,%s,%s,%s,%s\n", fmt, b"", [b"f1", b"f2"], cols))
+    cols = [zeros, -zeros, mixed, -mixed, mixed.copy()]
+    text = "".join(cli._grid_chunks(b"%s,%s,%s,%s,%s,%s,%s\n", fmt, b"", [b"f1", b"f2"], tau, cols))
     assert text == (
         f"{zero},f1,{zero},{minus},{zero},{minus},{zero}\n0.5,f1,{zero},{minus},{minus},{zero},{minus}\n"
         f"{zero},f2,{zero},{minus},{minus},{zero},{minus}\n0.5,f2,{zero},{minus},{zero},{minus},{zero}\n"
@@ -1044,6 +1046,37 @@ def test_fuzzed_argv_exits_with_a_documented_code():
             assert {2: "error: ", 3: "numerical failure: "}[code] in err.getvalue(), argv
         codes[code] += 1
     assert min(codes.values()) > 0
+
+
+def test_fuzzed_grids_match_scalar_reference():
+    # every evolve and sweep among the fuzzed argv lists that exits 0, with
+    # rates from 0 to 1.7e308 (subnormals included) and --tau-max from
+    # 1e-300 to 1.7e308, equals the grid rebuilt row by row, in CSV and JSON
+    rng = random.Random(2005)
+    checked = 0
+    for _ in range(2500):
+        argv = _fuzz_argv(rng)
+        if argv[0] not in ("evolve", "sweep"):
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if main(argv):
+                continue
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        grid = {"tau_max": float(opts["--tau-max"]), "steps": int(opts["--steps"])}
+        if "--x-params" in opts:
+            grid["x_params"] = tuple(float(v) for v in opts["--x-params"].split(","))
+        elif argv[0] == "evolve":
+            grid["fidelity"] = float(opts["--fidelity"])
+        else:
+            grid.update(fidelity_min=0.25, fidelity_max=1.0, fidelity_steps=int(opts["--fidelity-steps"]))
+        expected = _reference_grid(
+            argv[0], opts["--channel"], opts["--family"], float(opts["--rate-a"]), float(opts["--rate-b"]),
+            grid, None, opts.get("--format", "csv"),
+        )
+        assert out.getvalue() == expected, argv
+        checked += 1
+    assert checked == 354
 
 
 _SCAN_MUTATIONS = ("abbreviated", "equals", "repeated", "dash", "negative", "foreign", "odd", "help", "version", "double-dash")

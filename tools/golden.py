@@ -73,10 +73,10 @@ SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200
     )
 ]
 
-# grids whose columns share rendered text, as in the reference-grid test:
-# every start equal, populations constant along tau under phase noise, abs_w
-# zero for werner-psi, and unequal rates, where no two value columns are
-# equal; then grids of several blocks (cli._BLOCK_ROWS = 1024 rows): 41
+# grids whose columns repeat values, as in the reference-grid test: every
+# start equal, populations constant along tau under phase noise (rendered
+# once per start), abs_w zero for werner-psi, and unequal rates, where no
+# two value columns are equal; then grids of several blocks (cli._BLOCK_ROWS = 1024 rows): 41
 # starts of 101 rows, in blocks of 10 starts and 1, and 3 starts of 4097
 # rows, each in pieces of 1024 rows and 1; then grids whose cells test the
 # edges of the JSON cell text: populations that pass through subnormals to
