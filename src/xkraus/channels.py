@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import inf_norm_diff
-from .states import XState, _check_number
+from .states import _MAX, XState, _check_number
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -116,7 +116,8 @@ def kraus_set(spec: ChannelSpec, t: float) -> list[np.ndarray]:
     """Kraus operators of the given channel after evolving for time t: all
     pairwise tensor products of the two qubits' ``kraus_1q`` sets (4
     operators for phase and amplitude, 16 for equalizing)."""
-    ops_a, ops_b = (kraus_1q(spec.kind, gamma) for gamma in _time_factors(spec, t))
+    (gamma_a,), (gamma_b,) = _time_factors(spec, [_check_number("time", t)])
+    ops_a, ops_b = kraus_1q(spec.kind, gamma_a), kraus_1q(spec.kind, gamma_b)
     return [np.kron(ka, kb) for ka in ops_a for kb in ops_b]
 
 
@@ -159,11 +160,18 @@ def _population_map(kind: str, gamma):
     return t00 + x * d00, t01 + x * d01, t10 + x * d10, t11 + x * d11
 
 
-def _time_factors(spec: ChannelSpec, t: float) -> tuple[float, float]:
-    """gamma_A, gamma_B = exp(-rate * t / 2) after time t, which must be
-    finite and >= 0; the rates were checked by ChannelSpec."""
-    t = _check_number("time", t)
-    return math.exp(-0.5 * spec.rate_a * t), math.exp(-0.5 * spec.rate_b * t)
+def _time_factors(spec: ChannelSpec, times: list[float]) -> tuple[list[float], list[float]]:
+    """gamma_A and gamma_B = exp(-rate * t / 2) at each of the times, Python
+    floats that the same pass checks to be finite and >= 0 by comparison
+    alone; the rates were checked by ChannelSpec."""
+    rate_a, rate_b = -0.5 * spec.rate_a, -0.5 * spec.rate_b
+    gamma_a, gamma_b = [], []
+    for t in times:
+        if not 0.0 <= t <= _MAX:
+            raise ValueError(f"time must be finite and >= 0, got {t}")
+        gamma_a.append(math.exp(rate_a * t))
+        gamma_b.append(math.exp(rate_b * t))
+    return gamma_a, gamma_b
 
 
 def _evolve_x(kind: str, gamma_a, gamma_b, a, b, c, d, z, w):
@@ -198,7 +206,7 @@ def propagate_x(state: XState, spec: ChannelSpec, t: float) -> XState:
     are multiplied by gamma_A * gamma_B.  The same rule holds for every
     kind and every rate pair.
     """
-    gamma_a, gamma_b = _time_factors(spec, t)
+    (gamma_a,), (gamma_b,) = _time_factors(spec, [_check_number("time", t)])
     return XState(*_evolve_x(
         spec.kind, gamma_a, gamma_b, state.a, state.b, state.c, state.d, state.z, state.w
     ))

@@ -312,8 +312,8 @@ def _grid(
     @lru_cache(maxsize=1)
     def factors(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         taus = _taus(tau_end, steps, lo, min(lo + span, steps))
-        gamma_a, gamma_b = np.array([_time_factors(tau_spec, tau) for tau in taus.tolist()]).T
-        return taus, gamma_a, gamma_b
+        gamma_a, gamma_b = _time_factors(tau_spec, taus.tolist())
+        return taus, np.array(gamma_a), np.array(gamma_b)
 
     def block(first: int, lo: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """The taus of one block and its concurrence and value columns."""
@@ -516,7 +516,7 @@ def cmd_demo_local_ops(values: dict[str, Any]) -> tuple[int, list[str]]:
     phi = werner_phi(fid)
     c0_psi = concurrence_x(psi)
     c0_phi = concurrence_x(phi)
-    mismatch = inf_norm_diff(apply_local_unitary(to_dense(psi), flip_a_unitary()), to_dense(phi))
+    mismatch = inf_norm_diff(apply_local_unitary(to_dense(psi), *flip_a_unitary()), to_dense(phi))
     spec = ChannelSpec("amplitude")
     fate_psi, text_psi = _fate(esd_time_numeric(psi, spec, horizon=horizon, tol=tol))
     fate_phi, text_phi = _fate(esd_time_numeric(phi, spec, horizon=horizon, tol=tol))

@@ -20,13 +20,10 @@ import numpy as np
 from .linalg import IDENTITY_2, PAULI_X, inf_norm_diff
 
 __all__ = [
-    "NotXStateError",
     "XState",
-    "LocalUnitary",
     "werner_psi",
     "werner_phi",
     "to_dense",
-    "from_dense",
     "x_form_residual",
     "apply_local_unitary",
     "flip_a_unitary",
@@ -48,10 +45,6 @@ def x_form_residual(rho: np.ndarray) -> float:
     """Largest magnitude outside the diagonal and anti-diagonal positions."""
     rho = np.asarray(rho, dtype=complex)
     return max(abs(complex(rho[i, j])) for i, j in OFF_X_POSITIONS)
-
-
-class NotXStateError(ValueError):
-    """A dense matrix carried weight outside the X positions."""
 
 
 @dataclass(frozen=True)
@@ -189,67 +182,28 @@ def to_dense(state: XState) -> np.ndarray:
     return rho
 
 
-def from_dense(rho: np.ndarray, tol: float = 1e-10) -> XState:
-    """Read the six X parameters back out of a dense matrix.
-
-    Raises NotXStateError if any entry outside the X positions, or any
-    imaginary part on the diagonal, exceeds tol.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    off = x_form_residual(rho)
-    if off > tol:
-        raise NotXStateError(f"off-X weight {off:.3e} exceeds tol {tol:.3e}")
-    diag_imag = max(abs(complex(rho[i, i]).imag) for i in range(4))
-    if diag_imag > tol:
-        raise NotXStateError(f"imaginary diagonal weight {diag_imag:.3e} exceeds tol {tol:.3e}")
-    return XState(
-        a=float(rho[0, 0].real),
-        b=float(rho[1, 1].real),
-        c=float(rho[2, 2].real),
-        d=float(rho[3, 3].real),
-        z=complex(rho[1, 2]),
-        w=complex(rho[0, 3]),
-    )
-
-
-@dataclass(frozen=True)
-class LocalUnitary:
-    """Separate unitaries u_a on qubit A and u_b on qubit B."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    def as_matrix(self) -> np.ndarray:
-        return np.kron(self.u_a, self.u_b)
-
-
-def _unitarity_residual(u: np.ndarray) -> float:
-    return inf_norm_diff(u.conj().T @ u, IDENTITY_2)
-
-
-def apply_local_unitary(rho: np.ndarray, lu: LocalUnitary) -> np.ndarray:
-    """Conjugate a dense matrix by a product unitary; the spectrum is kept.
+def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """Conjugate a dense matrix by the product unitary u_a (x) u_b, u_a on
+    qubit A and u_b on qubit B; the spectrum is kept.
 
     Raises ValueError if either factor misses unitarity by more than 1e-12.
     """
-    for name, u in (("u_a", lu.u_a), ("u_b", lu.u_b)):
-        res = _unitarity_residual(u)
+    for name, u in (("u_a", u_a), ("u_b", u_b)):
+        res = inf_norm_diff(u.conj().T @ u, IDENTITY_2)
         if res > _UNITARY_TOL:
             raise ValueError(f"{name} is not unitary (residual {res:.3e})")
-    u4 = lu.as_matrix()
+    u4 = np.kron(u_a, u_b)
     return u4 @ np.asarray(rho, dtype=complex) @ u4.conj().T
 
 
-def flip_a_unitary() -> LocalUnitary:
-    """Bit flip of qubit A (times i), identity on qubit B.
+def flip_a_unitary() -> tuple[np.ndarray, np.ndarray]:
+    """(u_a, u_b): bit flip of qubit A (times i), identity on qubit B.
 
     Conjugation swaps basis indices 0<->2 and 1<->3 and exchanges the roles
     of the inner and outer coherences, taking werner_psi(F) exactly onto
     werner_phi(F).
     """
-    return LocalUnitary(u_a=1j * PAULI_X, u_b=IDENTITY_2.copy())
+    return 1j * PAULI_X, IDENTITY_2.copy()
 
 
 def random_x_state(rng: np.random.Generator) -> XState:
@@ -272,6 +226,7 @@ def _haar_unitary_2(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_local_unitary(rng: np.random.Generator) -> LocalUnitary:
-    """Independent Haar-random unitaries on the two qubits."""
-    return LocalUnitary(u_a=_haar_unitary_2(rng), u_b=_haar_unitary_2(rng))
+def random_local_unitary(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(u_a, u_b): independent Haar-random unitaries on the two qubits,
+    u_a drawn first."""
+    return _haar_unitary_2(rng), _haar_unitary_2(rng)

@@ -91,7 +91,7 @@ def _check_local_unitary_invariance(rng: np.random.Generator, trials: int) -> Ch
     worst = 0.0
     for _ in range(trials):
         rho = to_dense(random_x_state(rng))
-        rotated = apply_local_unitary(rho, random_local_unitary(rng))
+        rotated = apply_local_unitary(rho, *random_local_unitary(rng))
         worst = max(worst, abs(concurrence_general(rho) - concurrence_general(rotated)))
     return _result("concurrence local-unitary invariance", worst, 1e-12)
 

@@ -75,7 +75,7 @@ def test_criterion_03_equal_spectra_opposite_fates():
     psi = werner_psi(0.8)
     phi = werner_phi(0.8)
     c_ok = abs(concurrence_x(psi) - 0.6) <= 1e-12 and abs(concurrence_x(phi) - 0.6) <= 1e-12
-    moved = apply_local_unitary(to_dense(psi), flip_a_unitary())
+    moved = apply_local_unitary(to_dense(psi), *flip_a_unitary())
     map_ok = inf_norm_diff(moved, to_dense(phi)) == 0.0
     spec = ChannelSpec("amplitude")
     psi_fate = esd_time_numeric(psi, spec)

@@ -17,29 +17,38 @@ from xkraus.channels import (
     propagate_x,
 )
 from xkraus.linalg import IDENTITY_2, inf_norm_diff
-from xkraus.states import XState, from_dense, random_x_state, to_dense, werner_psi, x_form_residual
+from xkraus.states import XState, random_x_state, to_dense, werner_psi, x_form_residual
 
 BELL_W = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
 
 
 def test_time_factors_frozen_point():
-    gamma_a, gamma_b = _time_factors(ChannelSpec("phase", 1.0, 2.0), 2.0 * math.log(2.0))
+    (gamma_a,), (gamma_b,) = _time_factors(ChannelSpec("phase", 1.0, 2.0), [2.0 * math.log(2.0)])
     assert abs(gamma_a - 0.5) < 1e-15
     assert abs(gamma_b - 0.25) < 1e-15
     # omega = sqrt(1 - gamma^2) = sqrt(3/4) sits in the phase set's second operator
     assert abs(kraus_1q("phase", gamma_a)[1][0, 0] - math.sqrt(0.75)) < 1e-15
 
 
+def test_time_factors_of_a_list_equal_the_formula_at_each_time():
+    spec = ChannelSpec("amplitude", 0.7, 1.9)
+    times = [0.0, 1e-300, 0.25, 3.0, 12.0, 1e6]
+    assert _time_factors(spec, times) == (
+        [math.exp(-0.5 * 0.7 * t) for t in times], [math.exp(-0.5 * 1.9 * t) for t in times]
+    )
+    assert _time_factors(spec, []) == ([], [])
+
+
 def test_time_factors_at_zero_time_is_identity():
     for rate in (0.0, 0.5, 2.0):
-        assert _time_factors(ChannelSpec("amplitude", rate, rate), 0.0) == (1.0, 1.0)
+        assert _time_factors(ChannelSpec("amplitude", rate, rate), [0.0]) == ([1.0], [1.0])
     # gamma = 1 gives omega = 0: every phase and transfer operator vanishes
     for kind in CHANNEL_KINDS:
         assert not any(np.any(k) for k in kraus_1q(kind, 1.0)[1::2])
 
 
 def test_time_factors_zero_rate_never_decays():
-    assert _time_factors(ChannelSpec("amplitude", 0.0, 0.0), 100.0) == (1.0, 1.0)
+    assert _time_factors(ChannelSpec("amplitude", 0.0, 0.0), [100.0]) == ([1.0], [1.0])
     rho = to_dense(random_x_state(np.random.default_rng(95)))
     for kind in CHANNEL_KINDS:
         out = apply(rho, kraus_set(ChannelSpec(kind, 0.0, 0.0), 100.0))
@@ -50,7 +59,7 @@ def test_time_factors_rejects_bad_arguments():
     # bad rates are rejected by ChannelSpec (test_channel_spec_validation)
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="time must be finite and >= 0"):
-            _time_factors(ChannelSpec("phase"), bad)
+            _time_factors(ChannelSpec("phase"), [0.5, bad, 1.0])
         with pytest.raises(ValueError, match="time must be finite and >= 0"):
             kraus_set(ChannelSpec("phase"), bad)
 
@@ -254,7 +263,7 @@ def test_kraus_sum_keeps_off_x_entries_exactly_zero():
         kind = CHANNEL_KINDS[int(rng.integers(0, 3))]
         rho = apply(rho, kraus_set(ChannelSpec(kind), float(rng.uniform(0.0, 3.0))))
     assert x_form_residual(rho) == 0.0
-    from_dense(rho, tol=0.0)
+    assert not np.diagonal(rho).imag.any()
 
 
 def test_x_form_residual_measures_leakage():

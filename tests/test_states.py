@@ -8,12 +8,9 @@ import pytest
 
 from xkraus.linalg import IDENTITY_2, inf_norm_diff
 from xkraus.states import (
-    LocalUnitary,
-    NotXStateError,
     XState,
     apply_local_unitary,
     flip_a_unitary,
-    from_dense,
     random_local_unitary,
     random_x_state,
     to_dense,
@@ -149,64 +146,49 @@ def test_dense_round_trip():
     rng = np.random.default_rng(21)
     for _ in range(200):
         s = random_x_state(rng)
-        back = from_dense(to_dense(s))
-        assert s.a == back.a and s.b == back.b and s.c == back.c and s.d == back.d
-        assert s.z == back.z and s.w == back.w
-
-
-def test_from_dense_rejects_off_x_entries():
-    rho = to_dense(werner_psi(0.8))
-    rho[0, 1] = 1e-6
-    rho[1, 0] = 1e-6
-    with pytest.raises(NotXStateError):
-        from_dense(rho)
-    # a looser tolerance lets the same matrix through
-    from_dense(rho, tol=1e-3)
-
-
-def test_from_dense_rejects_imaginary_diagonal():
-    rho = to_dense(werner_psi(0.8))
-    rho[2, 2] += 1e-6j
-    with pytest.raises(NotXStateError):
-        from_dense(rho)
-
-
-def test_from_dense_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        from_dense(np.eye(3, dtype=complex))
+        rho = to_dense(s)
+        expected = {
+            (0, 0): s.a, (1, 1): s.b, (2, 2): s.c, (3, 3): s.d,
+            (1, 2): s.z, (2, 1): s.z.conjugate(), (0, 3): s.w, (3, 0): s.w.conjugate(),
+        }
+        for i in range(4):
+            for j in range(4):
+                assert rho[i, j] == expected.get((i, j), 0.0)
 
 
 def test_local_unitary_matrix_is_tensor_product():
     rng = np.random.default_rng(33)
-    lu = random_local_unitary(rng)
-    u4 = lu.as_matrix()
-    # qubit A indexes the 2x2 blocks, qubit B the entries inside each block
+    u_a, u_b = random_local_unitary(rng)
+    rho = to_dense(random_x_state(rng))
+    u4 = np.kron(u_a, u_b)
+    # apply_local_unitary conjugates by u4, in which qubit A indexes the
+    # 2x2 blocks and qubit B the entries inside each block
+    assert inf_norm_diff(apply_local_unitary(rho, u_a, u_b), u4 @ rho @ u4.conj().T) == 0.0
     for i in range(2):
         for j in range(2):
             block = u4[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-            assert inf_norm_diff(block, lu.u_a[i, j] * lu.u_b) == 0.0
+            assert inf_norm_diff(block, u_a[i, j] * u_b) == 0.0
 
 
 def test_apply_local_unitary_preserves_spectrum():
     rng = np.random.default_rng(34)
     for _ in range(50):
         rho = to_dense(random_x_state(rng))
-        rotated = apply_local_unitary(rho, random_local_unitary(rng))
+        rotated = apply_local_unitary(rho, *random_local_unitary(rng))
         before = np.sort(np.linalg.eigvalsh(rho))
         after = np.sort(np.linalg.eigvalsh(rotated))
         assert np.abs(before - after).max() < 1e-12
 
 
 def test_apply_local_unitary_rejects_non_unitary():
-    bad = LocalUnitary(u_a=2.0 * IDENTITY_2, u_b=IDENTITY_2)
-    with pytest.raises(ValueError):
-        apply_local_unitary(np.eye(4, dtype=complex) / 4.0, bad)
+    with pytest.raises(ValueError, match=r"^u_a is not unitary \(residual 3\.000e\+00\)$"):
+        apply_local_unitary(np.eye(4, dtype=complex) / 4.0, 2.0 * IDENTITY_2, IDENTITY_2)
 
 
 def test_flip_a_unitary_swaps_werner_families_exactly():
     for f in np.linspace(0.25, 1.0, 16):
         f = float(f)
-        moved = apply_local_unitary(to_dense(werner_psi(f)), flip_a_unitary())
+        moved = apply_local_unitary(to_dense(werner_psi(f)), *flip_a_unitary())
         assert inf_norm_diff(moved, to_dense(werner_phi(f))) == 0.0
 
 
@@ -222,6 +204,5 @@ def test_random_x_state_always_valid():
 def test_random_local_unitary_is_unitary():
     rng = np.random.default_rng(36)
     for _ in range(100):
-        lu = random_local_unitary(rng)
-        for u in (lu.u_a, lu.u_b):
+        for u in random_local_unitary(rng):
             assert inf_norm_diff(u @ u.conj().T, IDENTITY_2) < 1e-13
