@@ -66,7 +66,6 @@ from .entanglement import (
     ALIVE,
     DIES,
     EsdResult,
-    _larger,
     _margin,
     concurrence_x,
     critical_fidelity_amplitude,
@@ -75,15 +74,8 @@ from .entanglement import (
     esd_time_numeric,
     esd_time_phase_werner,
 )
-from .linalg import NumericalFailureError, inf_norm_diff
-from .states import (
-    XState,
-    apply_local_unitary,
-    flip_a_unitary,
-    to_dense,
-    werner_phi,
-    werner_psi,
-)
+from .linalg import NumericalFailureError, apply_local_unitary, flip_a_unitary, inf_norm_diff
+from .states import XState, to_dense, werner_phi, werner_psi
 from .verify import DEFAULT_SEED, DEFAULT_TRIALS, run_all
 
 _WERNER = {"werner-psi": werner_psi, "werner-phi": werner_phi}
@@ -320,7 +312,7 @@ def _grid(
         taus, gamma_a, gamma_b = factors(lo)
         a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *(x[first:first + per_block] for x in columns))
         abs_z, abs_w = (np.hypot(x.real, x.imag) for x in (z, w))
-        concurrence = 2.0 * _margin(a, b, c, d, abs_z, abs_w, _larger, np.sqrt)
+        concurrence = 2.0 * _margin(a, b, c, d, abs_z, abs_w, np.maximum, np.sqrt)
         return taus, [concurrence, a, b, c, d, abs_z, abs_w]
 
     def rows(row: bytes, sep: bytes, fid_text: list[bytes]) -> Iterator[str]:

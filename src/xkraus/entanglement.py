@@ -1,12 +1,10 @@
-"""Wootters concurrence and entanglement sudden-death searches.
+"""Concurrence of X states and entanglement sudden-death searches.
 
-Concurrence of a two-qubit density matrix rho comes from the spectrum of
-rho (sy x sy) conj(rho) (sy x sy): with eigenvalues lam_1 >= ... >= lam_4,
-C = max(0, sqrt(lam_1) - sqrt(lam_2) - sqrt(lam_3) - sqrt(lam_4)); the
-square roots are computed as singular values of Wootters' matrix.  For X
-states the same number has the closed form
-C = 2 * max(0, |z| - sqrt(a*d), |w| - sqrt(b*c)); the two routes are checked
-against each other in the tests.
+Wootters concurrence of an X state has the closed form
+C = 2 * max(0, |z| - sqrt(a*d), |w| - sqrt(b*c)) (concurrence_x); this
+module holds X-state arithmetic only, and the tests and verify check it
+against the general spectrum route of the dense oracle,
+linalg.concurrence_general.
 
 Although every matrix element decays smoothly under the noise channels,
 concurrence can hit zero at a finite time and stay there; local channels
@@ -27,10 +25,8 @@ from functools import cmp_to_key, lru_cache, partial
 from itertools import groupby, product
 from typing import Callable
 
-import numpy as np
-
 from .channels import ChannelSpec, _MAPS, _tau_spec
-from .linalg import PAULI_Y, NumericalFailureError, inf_norm_diff
+from .linalg import NumericalFailureError
 from .states import XState, _check_fidelity, _check_number, _finite_real, werner_psi
 
 __all__ = [
@@ -39,7 +35,6 @@ __all__ = [
     "SEPARABLE",
     "EsdResult",
     "concurrence_x",
-    "concurrence_general",
     "esd_time_phase_werner",
     "esd_time_amplitude_phi_werner",
     "esd_time_numeric",
@@ -47,67 +42,31 @@ __all__ = [
     "critical_fidelity_numeric",
 ]
 
-_HERMITIAN_TOL = 1e-10
-_CLAMP_TOL = 1e-10
-
 _DEFAULT_HORIZON = 60.0
 _DEFAULT_TOL = 1e-10
-
-_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
 
 DIES = "dies"
 ALIVE = "alive"
 SEPARABLE = "separable"
 
 
-def _larger(first, *rest):
-    """Elementwise max by Python's rule, where the first of equal values
-    wins; np.maximum would turn max(0.0, -0.0) into -0.0."""
-    for x in rest:
-        first = np.where(x > first, x, first)
-    return first
-
-
 def _margin(a, b, c, d, abs_z, abs_w, larger=max, sqrt=math.sqrt):
     """Half the concurrence of an X state, max(0, |z| - sqrt(a*d),
     |w| - sqrt(b*c)), positive iff entangled.  Numpy arrays are evaluated
-    elementwise, with the same rounding and signs, given larger=_larger and
-    sqrt=np.sqrt."""
+    elementwise, bit for bit as floats, given larger=np.maximum and
+    sqrt=np.sqrt.  np.maximum differs from max only in the sign of a zero,
+    np.maximum(0.0, -0.0) being -0.0.  Under a square root that is
+    harmless, as |z| - sqrt(-0.0) == |z|; inner and outer, a magnitude
+    >= +0.0 minus a root, are never -0.0, nor NaN as the entries are
+    finite."""
     inner = abs_z - sqrt(larger(0.0, a * d))
     outer = abs_w - sqrt(larger(0.0, b * c))
-    return larger(0.0, inner, outer)
+    return larger(larger(0.0, inner), outer)
 
 
 def concurrence_x(state: XState) -> float:
     """Closed-form concurrence of an X state."""
     return 2.0 * _margin(state.a, state.b, state.c, state.d, abs(state.z), abs(state.w))
-
-
-def concurrence_general(rho: np.ndarray) -> float:
-    """Concurrence of an arbitrary two-qubit density matrix.
-
-    Wootters' factor route: with rho = W W^+ built from the eigenvectors of
-    rho, the singular values s_1 >= ... >= s_4 of W^T (sy x sy) W are the
-    square roots of the spin-flip spectrum, and
-    C = max(0, s_1 - s_2 - s_3 - s_4).  Non-finite entries raise ValueError.
-    A matrix that is not Hermitian within 1e-10, or has an eigenvalue below
-    -1e-10, raises NumericalFailureError; eigenvalues in [-1e-10, 0) are
-    clamped to zero.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("matrix entries must be finite")
-    if inf_norm_diff(rho, rho.conj().T) > _HERMITIAN_TOL:
-        raise NumericalFailureError("density matrix is not Hermitian")
-    try:
-        lam, vecs = np.linalg.eigh(rho)
-        factor = vecs * np.sqrt(np.maximum(lam, 0.0))
-        s = np.linalg.svd(factor.T @ _SIGMA_YY @ factor, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigen- or singular-value iteration failed: {exc}") from exc
-    if lam[0] < -_CLAMP_TOL:
-        raise NumericalFailureError(f"negative eigenvalue {lam[0]} in density matrix")
-    return max(0.0, float(s[0] - s[1] - s[2] - s[3]))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Basis order is |++>, |+->, |-+>, |--> with |+> the upper (excited) level of
 each qubit.  An X state carries populations a, b, c, d on the diagonal, an
 inner coherence z between |+-> and |-+>, and an outer coherence w between
-|++> and |-->.  All dense matrices are 4x4 complex numpy arrays in this
-basis.
+|++> and |-->.  This module holds their arithmetic only: the validity rule,
+the Werner families and random draws.  to_dense writes a state as the 4x4
+complex numpy array, in this basis, that the dense route of ``linalg`` and
+the Kraus sums of ``channels`` take.
 """
 
 from __future__ import annotations
@@ -17,34 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI_X, inf_norm_diff
-
 __all__ = [
     "XState",
     "werner_psi",
     "werner_phi",
     "to_dense",
-    "x_form_residual",
-    "apply_local_unitary",
-    "flip_a_unitary",
     "random_x_state",
-    "random_local_unitary",
 ]
 
 _TOL = 1e-12
-_UNITARY_TOL = 1e-12
 _MAX = sys.float_info.max
-
-X_POSITIONS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2), (2, 1), (3, 0))
-OFF_X_POSITIONS = tuple(
-    (i, j) for i in range(4) for j in range(4) if (i, j) not in X_POSITIONS
-)
-
-
-def x_form_residual(rho: np.ndarray) -> float:
-    """Largest magnitude outside the diagonal and anti-diagonal positions."""
-    rho = np.asarray(rho, dtype=complex)
-    return max(abs(complex(rho[i, j])) for i, j in OFF_X_POSITIONS)
 
 
 @dataclass(frozen=True)
@@ -182,30 +166,6 @@ def to_dense(state: XState) -> np.ndarray:
     return rho
 
 
-def apply_local_unitary(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """Conjugate a dense matrix by the product unitary u_a (x) u_b, u_a on
-    qubit A and u_b on qubit B; the spectrum is kept.
-
-    Raises ValueError if either factor misses unitarity by more than 1e-12.
-    """
-    for name, u in (("u_a", u_a), ("u_b", u_b)):
-        res = inf_norm_diff(u.conj().T @ u, IDENTITY_2)
-        if res > _UNITARY_TOL:
-            raise ValueError(f"{name} is not unitary (residual {res:.3e})")
-    u4 = np.kron(u_a, u_b)
-    return u4 @ np.asarray(rho, dtype=complex) @ u4.conj().T
-
-
-def flip_a_unitary() -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, u_b): bit flip of qubit A (times i), identity on qubit B.
-
-    Conjugation swaps basis indices 0<->2 and 1<->3 and exchanges the roles
-    of the inner and outer coherences, taking werner_psi(F) exactly onto
-    werner_phi(F).
-    """
-    return 1j * PAULI_X, IDENTITY_2.copy()
-
-
 def random_x_state(rng: np.random.Generator) -> XState:
     """Draw a valid X state.
 
@@ -218,15 +178,3 @@ def random_x_state(rng: np.random.Generator) -> XState:
     z = z_mag * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     w = w_mag * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     return XState(a=a, b=b, c=c, d=d, z=z, w=w)
-
-
-def _haar_unitary_2(rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_local_unitary(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(u_a, u_b): independent Haar-random unitaries on the two qubits,
-    u_a drawn first."""
-    return _haar_unitary_2(rng), _haar_unitary_2(rng)

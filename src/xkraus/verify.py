@@ -14,16 +14,9 @@ from .channels import (
     kraus_set,
     propagate_x,
 )
-from .entanglement import concurrence_general, concurrence_x
-from .states import (
-    apply_local_unitary,
-    random_local_unitary,
-    random_x_state,
-    to_dense,
-    werner_phi,
-    werner_psi,
-    x_form_residual,
-)
+from .entanglement import concurrence_x
+from .linalg import apply_local_unitary, concurrence_general, random_local_unitary, x_form_residual
+from .states import random_x_state, to_dense, werner_phi, werner_psi
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -120,6 +113,10 @@ def _check_initial_werner_concurrence() -> CheckResult:
 
 
 def _check_sweep_records() -> CheckResult:
+    """Scalar propagate_x and concurrence_x on dephased werner_psi grids:
+    every concurrence in [0, 1] and every trace 1.  It does not run the
+    broadcast grid kernel of the sweep command, which the CLI tests check
+    against this scalar route."""
     worst = 0.0
     spec = ChannelSpec("phase")
     for f in np.linspace(0.25, 1.0, 11):

@@ -17,7 +17,6 @@ from xkraus.channels import ChannelSpec, propagate_x
 from xkraus.entanglement import (
     ALIVE,
     DIES,
-    concurrence_general,
     concurrence_x,
     critical_fidelity_amplitude,
     critical_fidelity_numeric,
@@ -25,8 +24,8 @@ from xkraus.entanglement import (
     esd_time_numeric,
     esd_time_phase_werner,
 )
-from xkraus.linalg import inf_norm_diff
-from xkraus.states import XState, apply_local_unitary, flip_a_unitary, to_dense, werner_phi, werner_psi
+from xkraus.linalg import apply_local_unitary, concurrence_general, flip_a_unitary, inf_norm_diff
+from xkraus.states import XState, to_dense, werner_phi, werner_psi
 from xkraus.verify import (
     _check_concurrence_methods,
     _check_initial_werner_concurrence,

@@ -16,8 +16,8 @@ from xkraus.channels import (
     kraus_set,
     propagate_x,
 )
-from xkraus.linalg import IDENTITY_2, inf_norm_diff
-from xkraus.states import XState, random_x_state, to_dense, werner_psi, x_form_residual
+from xkraus.linalg import IDENTITY_2, inf_norm_diff, x_form_residual
+from xkraus.states import XState, random_x_state, to_dense, werner_psi
 
 BELL_W = XState(0.5, 0.0, 0.0, 0.5, w=0.5)
 

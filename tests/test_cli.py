@@ -18,7 +18,8 @@ import pytest
 
 import xkraus
 from xkraus import (
-    ChannelSpec, XState, __version__, concurrence_x, kraus_set, propagate_x, werner_phi, werner_psi,
+    ChannelSpec, XState, __version__, concurrence_x, esd_time_amplitude_phi_werner, kraus_set, propagate_x,
+    werner_phi, werner_psi,
 )
 from xkraus import cli
 from xkraus.channels import CHANNEL_KINDS, _tau_spec
@@ -323,6 +324,10 @@ _GOLDEN = [
     ("evolve", "equalizing", "werner-phi", 1.0, 1.0, {"fidelity": 0.9, "tau_max": 1e17, "steps": 11}, None),
     ("evolve", "phase", "custom-x", 1.0, 1.0,
      {"x_params": (0.25, 0.25, 0.25, 0.25, 0.125, 0.0, 0.0625, 0.0), "tau_max": 4.0, "steps": 9}, None),
+    # a'd' = 0.0 * -1e-13 = -0.0 on every row, where np.maximum(0.0, -0.0)
+    # is -0.0 and max(0.0, -0.0) is 0.0: the concurrence must not differ
+    ("evolve", "phase", "custom-x", 1.0, 1.0,
+     {"x_params": (0.0, 0.5, 0.5000000000001, -1e-13, 0.3, 0.0, 0.0, 0.0), "tau_max": 4.0, "steps": 9}, None),
 ]
 
 
@@ -436,7 +441,7 @@ def test_failed_grid_leaves_no_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_grid_whose_second_block_fails_its_check_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
+def test_grid_whose_start_fails_its_check_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
     # the start whose population a fell below -1e-12 in its grid's second
     # block of 1,024 rows: its negative weight is 1.5e-12, so it fails
     # before anything is evolved, whatever the tau range, and esd too
@@ -771,6 +776,21 @@ def test_esd_initial_margin_lost_to_rounding_is_numerical_failure(capsys, argv):
     code, out, err = run(capsys, "esd", "--channel", "amplitude", *argv)
     assert (code, out) == (3, "")
     assert err.startswith("numerical failure: the initial margin was lost to rounding")
+
+
+@pytest.mark.xfail(strict=True, reason="the expansion rounds the initial margin of C(0) = 2^-52 away")
+def test_esd_barely_entangled_phi_werner_dies_at_its_closed_form(capsys):
+    # the paper's own closed form covers this start, tau = ln((2F + 1) / (4 - 4F))
+    # = 2.2e-16, but the search's expansion reads its margin negative at tau = 0
+    fidelity = 0.5000000000000001
+    code, out, _ = run(
+        capsys, "esd", "--channel", "amplitude", "--family", "werner-phi", "--fidelity", repr(fidelity),
+        "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["numeric"]["status"] == "dies"
+    assert abs(doc["numeric"]["tau"] - esd_time_amplitude_phi_werner(fidelity).time) <= doc["tol"]
 
 
 def test_esd_physical_time_beyond_the_float_range_is_usage_error(capsys):

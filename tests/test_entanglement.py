@@ -19,7 +19,6 @@ from xkraus.entanglement import (
     _Expansion,
     _first_positive,
     _root,
-    concurrence_general,
     concurrence_x,
     critical_fidelity_amplitude,
     critical_fidelity_numeric,
@@ -27,7 +26,7 @@ from xkraus.entanglement import (
     esd_time_numeric,
     esd_time_phase_werner,
 )
-from xkraus.linalg import NumericalFailureError
+from xkraus.linalg import NumericalFailureError, concurrence_general
 from xkraus.states import XState, random_x_state, to_dense, werner_phi, werner_psi
 
 LN_5_5 = 1.7047480922384253

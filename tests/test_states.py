@@ -6,12 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from xkraus.linalg import IDENTITY_2, inf_norm_diff
+from xkraus.linalg import IDENTITY_2, apply_local_unitary, flip_a_unitary, inf_norm_diff, random_local_unitary
 from xkraus.states import (
     XState,
-    apply_local_unitary,
-    flip_a_unitary,
-    random_local_unitary,
     random_x_state,
     to_dense,
     werner_phi,
