@@ -51,7 +51,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, lru_cache
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
@@ -160,7 +160,7 @@ _OPT_CONFIG = _Opt("--config", str, None, "flat key=value file mirroring the fla
 def _load_config(path: str) -> dict[str, str]:
     table: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
@@ -540,10 +540,7 @@ def cmd_verify(values: dict[str, Any]) -> tuple[int, list[str]]:
     doc = _meta(
         "verify", values,
         trials=values["trials"], seed=values["seed"], all_passed=all_passed,
-        checks=[
-            {"name": r.name, "residual": r.residual, "tolerance": r.tolerance, "passed": r.passed}
-            for r in results
-        ],
+        checks=[asdict(r) for r in results],
     )
     lines = [
         f"{r.name:<40} residual {r.residual:.3e}  tol {r.tolerance:.0e}  "

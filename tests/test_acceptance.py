@@ -2,9 +2,9 @@
 
 Each test prints a single [criterion NN] PASS/FAIL line (visible under
 pytest -s) and then asserts, so the gate reads as a checklist.  Criteria
-04-07, 09 and 10 run the checks behind `xkraus verify` with their own seeds
-and trial counts, and pin each check's tolerance; the other tolerances are
-pinned here.
+04-07, 09 and 10 run the checks of `xkraus verify` through `_check`, by
+their printed names, with their own seeds and trial counts, and pin each
+check's tolerance; the other tolerances are pinned here.
 """
 
 from __future__ import annotations
@@ -26,15 +26,7 @@ from xkraus.entanglement import (
 )
 from xkraus.linalg import apply_local_unitary, concurrence_general, flip_a_unitary, inf_norm_diff
 from xkraus.states import XState, to_dense, werner_phi, werner_psi
-from xkraus.verify import (
-    _check_concurrence_methods,
-    _check_initial_werner_concurrence,
-    _check_local_unitary_invariance,
-    _check_oracle_equivalence,
-    _check_semigroup,
-    _check_trace_preservation,
-    _check_x_form,
-)
+from xkraus.verify import _check
 
 LN_5_5 = 1.7047480922384253
 LN_1_75 = 0.5596157879354227
@@ -90,25 +82,25 @@ def test_criterion_03_equal_spectra_opposite_fates():
 
 
 def test_criterion_04_trace_preservation():
-    result = _check_trace_preservation()
+    result = _check("kraus completeness")
     ok = result.tolerance == 1e-12 and result.passed
     assert _report(4, "trace preservation", ok), result
 
 
 def test_criterion_05_closed_form_matches_operator_sum():
-    result = _check_oracle_equivalence(np.random.default_rng(501), trials=1000)
+    result = _check("closed form vs kraus sum", np.random.default_rng(501), trials=1000)
     ok = result.tolerance == 1e-12 and result.passed
     assert _report(5, "closed form matches operator sum", ok), result
 
 
 def test_criterion_06_x_form_closure():
-    result = _check_x_form(np.random.default_rng(601), trials=100)
+    result = _check("x form preserved", np.random.default_rng(601), trials=100)
     ok = result.tolerance == 1e-13 and result.passed
     assert _report(6, "x form closure", ok), result
 
 
 def test_criterion_07_concurrence_route_agreement():
-    result = _check_concurrence_methods(np.random.default_rng(701), trials=1000)
+    result = _check("concurrence closed form vs spectrum", np.random.default_rng(701), trials=1000)
     bell_gap = abs(concurrence_general(to_dense(werner_psi(1.0))) - 1.0)
     mixed = concurrence_general(np.eye(4, dtype=complex) / 4.0)
     ok = result.tolerance == 1e-10 and result.passed and bell_gap <= 1e-12 and mixed == 0.0
@@ -133,8 +125,8 @@ def test_criterion_08_equalizing_kills_every_entangled_werner():
 
 
 def test_criterion_09_initial_concurrence_and_local_invariance():
-    initial = _check_initial_werner_concurrence()
-    invariance = _check_local_unitary_invariance(np.random.default_rng(901), trials=200)
+    initial = _check("initial werner concurrence")
+    invariance = _check("concurrence local-unitary invariance", np.random.default_rng(901), trials=200)
     ok = (
         initial.tolerance == 1e-12
         and initial.passed
@@ -145,6 +137,6 @@ def test_criterion_09_initial_concurrence_and_local_invariance():
 
 
 def test_criterion_10_semigroup_composition():
-    result = _check_semigroup(np.random.default_rng(1001), trials=200)
+    result = _check("semigroup composition", np.random.default_rng(1001), trials=200)
     ok = result.tolerance == 1e-12 and result.passed
     assert _report(10, "semigroup composition", ok), result
