@@ -27,7 +27,8 @@ states in blocks of at most ``_BLOCK_ROWS`` rows (whole starts, or pieces
 of one start's rows if it has more), one broadcast call of the
 ``propagate_x`` kernel per block, and returns the CSV, or JSON
 byte-identical to ``json.dumps(doc, indent=2)``, as a generator of one
-chunk per start in a block.  Each block is evolved once, as it is
+chunk per start in a block.  One rule, ``_axis``, slices both axes per
+block, and a block's starts are built and evolved only as it is
 rendered, so a grid's memory is bounded by one block, whatever its size.
 Only the starts are checked: ``XState``'s rule holds at every tau once it
 holds at tau = 0, since no channel adds negative weight.
@@ -37,7 +38,8 @@ other cell is its own.  JSON cells are Python's own ``repr``, a block's
 rendered by one orjson call in ``_floattext.texts``; CSV cells are
 CPython's ``%.12g``.
 A command that fails writes nothing: every check runs before the first
-chunk.
+chunk, and a sweep's starts, built as it is written, cannot fail: each F
+lies in [0.25, 1], where every Werner state passes ``XState``.
 
 Times are reported as the dimensionless product tau = rate * t.  Output is
 deterministic: identical flags produce byte-identical files.  Exit codes:
@@ -162,7 +164,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for number, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -259,66 +261,67 @@ _JSON_RECORD = b"    {\n" + b",\n".join(b'      "%s": %%s' % key.encode() for ke
 _BLOCK_ROWS = 1024
 
 
-def _taus(tau_end: float, steps: int, lo: int, hi: int) -> np.ndarray:
-    """np.linspace(0.0, tau_end, steps)[lo:hi], computed for that slice
-    alone as linspace computes it."""
-    div = steps - 1
-    step = tau_end / div
-    taus = np.arange(lo, hi, dtype=float)
-    taus = taus / div * tau_end if step == 0.0 else taus * step
-    if hi == steps:
-        taus[-1] = tau_end
-    return taus
+def _axis(start: float, stop: float, num: int, lo: int, hi: int) -> np.ndarray:
+    """np.linspace(start, stop, num)[lo:hi], computed for that slice
+    alone as linspace computes it, bit for bit."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    y = np.arange(lo, hi, dtype=float)
+    y = (y / div * delta if step == 0.0 else y * step) + start
+    if hi == num:
+        y[-1] = stop
+    return y
 
 
 def _grid(
     command: str,
     values: dict[str, Any],
     spec: ChannelSpec,
-    starts: list[tuple[float | None, XState]],
+    count: int,
+    starts: Callable[[int, int], list[tuple[float | None, XState]]],
     tau_end: float,
     **grid: Any,
 ) -> tuple[int, Iterable[str]]:
-    """Evolve each (fidelity, state) start along the tau grid and return
+    """Evolve count (fidelity, state) starts along the tau grid and return
     one row per point, start-major, with the fields _CSV_FIELDS.
 
-    The starts were checked when built, and XState's rule then holds at
-    every tau (no channel adds negative weight), so no evolved row is
-    checked again.  The row generator evolves the starts in blocks of at
-    most _BLOCK_ROWS rows, whole starts, or pieces of one start's rows if
-    it has more, by one broadcast call of the propagate_x kernel per block,
-    with per-tau factors from propagate_x's own math.exp, taken in tau
-    units from the relative rates of _tau_spec, so every number rounds as
-    in the float rule at time tau; np.hypot of a coherence's parts equals
-    abs() of the complex.  Each block is evolved once and rendered while
-    written, one chunk per start in a block, in the cell rule of --format
-    (_grid_chunks), so memory is bounded by the block, not by the grid.
+    The row generator walks blocks of at most _BLOCK_ROWS rows, whole
+    starts, or pieces of one start's rows if it has more, starts first,
+    then tau pieces.  It builds a block's starts, starts(first, end), only
+    when it reaches the block, and evolves them by one broadcast call of
+    the propagate_x kernel, with per-tau factors from propagate_x's own
+    math.exp, taken in tau units from the relative rates of _tau_spec, so
+    every number rounds as in the float rule at time tau; np.hypot of a
+    coherence's parts equals abs() of the complex.  Each block is evolved
+    once and rendered while written, one chunk per start in a block, in
+    the cell rule of --format (_grid_chunks), so memory is bounded by the
+    block, not by the grid.  No row is checked: XState's rule holds at
+    every tau once it holds at the start, and a start built after output
+    begins, a Werner state with F in [0.25, 1], passes it.
     """
     tau_spec = _tau_spec(spec)
     steps = values["steps"]
-    columns = [np.array([[getattr(s, key)] for _, s in starts]) for key in "abcdzw"]
     per_block = max(1, _BLOCK_ROWS // steps)  # starts per block
     span = min(steps, _BLOCK_ROWS)  # tau points per block
-    blocks = [(first, lo) for first in range(0, len(starts), per_block) for lo in range(0, steps, span)]
 
     @lru_cache(maxsize=1)
     def factors(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        taus = _taus(tau_end, steps, lo, min(lo + span, steps))
+        taus = _axis(0.0, tau_end, steps, lo, min(lo + span, steps))
         gamma_a, gamma_b = _time_factors(tau_spec, taus.tolist())
         return taus, np.array(gamma_a), np.array(gamma_b)
 
-    def block(first: int, lo: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The taus of one block and its concurrence and value columns."""
-        taus, gamma_a, gamma_b = factors(lo)
-        a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *(x[first:first + per_block] for x in columns))
-        abs_z, abs_w = (np.hypot(x.real, x.imag) for x in (z, w))
-        concurrence = 2.0 * _margin(a, b, c, d, abs_z, abs_w, np.maximum, np.sqrt)
-        return taus, [concurrence, a, b, c, d, abs_z, abs_w]
-
-    def rows(row: bytes, sep: bytes, fid_text: list[bytes]) -> Iterator[str]:
-        for first, lo in blocks:
-            texts = fid_text[first:first + per_block]
-            yield from _grid_chunks(row, values["format"], sep, texts, *block(first, lo), sep if first or lo else b"")
+    def rows(row: bytes, sep: bytes, fid_text: Callable[[float | None], str]) -> Iterator[str]:
+        for first in range(0, count, per_block):
+            block = starts(first, min(first + per_block, count))
+            texts = [fid_text(fid).encode() for fid, _ in block]
+            columns = [np.array([[getattr(s, key)] for _, s in block]) for key in "abcdzw"]
+            for lo in range(0, steps, span):
+                taus, gamma_a, gamma_b = factors(lo)
+                a, b, c, d, z, w = _evolve_x(spec.kind, gamma_a, gamma_b, *columns)
+                abs_z, abs_w = (np.hypot(x.real, x.imag) for x in (z, w))
+                concurrence = 2.0 * _margin(a, b, c, d, abs_z, abs_w, np.maximum, np.sqrt)
+                cols = [concurrence, a, b, c, d, abs_z, abs_w]
+                yield from _grid_chunks(row, values["format"], sep, texts, taus, cols, sep if first or lo else b"")
 
     doc = _meta(
         command, values,
@@ -327,10 +330,8 @@ def _grid(
     if values["format"] == "json":
         # the document up to its closing "\n}", then the records array
         head = json.dumps(doc, indent=2)[:-2] + ',\n  "records": [\n'
-        fid_text = [b"null" if fid is None else repr(fid).encode() for fid, _ in starts]
-        return 0, chain([head], rows(_JSON_RECORD, b",\n", fid_text), ["\n  ]\n}\n"])
-    fid_text = [_fmt(fid).encode() for fid, _ in starts]
-    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, b"", fid_text))
+        return 0, chain([head], rows(_JSON_RECORD, b",\n", json.dumps), ["\n  ]\n}\n"])
+    return 0, chain([",".join(_CSV_FIELDS) + "\n"], rows(_CSV_ROW, b"", _fmt))
 
 
 def _grid_chunks(
@@ -380,9 +381,8 @@ def cmd_evolve(values: dict[str, Any]) -> tuple[int, Iterable[str]]:
     state, fid = _initial_state(values)
     tau_max = _default_tau_max(values)
     return _grid(
-        "evolve", values, spec, [(fid, state)], tau_max,
-        fidelity=fid,
-        x_params=values["x_params"],
+        "evolve", values, spec, 1, lambda first, end: [(fid, state)], tau_max,
+        fidelity=fid, x_params=values["x_params"],
         tau_max=tau_max, steps=values["steps"],
     )
 
@@ -397,10 +397,10 @@ def cmd_sweep(values: dict[str, Any]) -> tuple[int, Iterable[str]]:
         raise ValueError(
             f"fidelity range must satisfy 0.25 <= min <= max <= 1, got [{f_min}, {f_max}]"
         )
-    fids = [float(f) for f in np.linspace(f_min, f_max, f_steps)]
     tau_max = _default_tau_max(values)
     return _grid(
-        "sweep", values, spec, [(f, build(f)) for f in fids], tau_max,
+        "sweep", values, spec, f_steps,
+        lambda first, end: [(f, build(f)) for f in _axis(f_min, f_max, f_steps, first, end).tolist()], tau_max,
         fidelity_grid={"min": f_min, "max": f_max, "steps": f_steps},
         tau_grid={"min": 0.0, "max": tau_max, "steps": values["steps"]},
     )

@@ -233,6 +233,11 @@ def test_config_rejects_bad_value_and_missing_file(tmp_path, capsys):
     assert run(capsys, "esd", "--config", str(tmp_path / "absent.cfg"))[0] == 2
     cfg.write_text("channel phase\n")
     assert run(capsys, "esd", "--config", str(cfg))[0] == 2
+    # a file that is not UTF-8 is named in the error, as an unreadable one is
+    cfg.write_bytes(b"channel=phase\nfidelity=0.8\n# \xff\n")
+    code, _, err = run(capsys, "esd", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize(
@@ -462,13 +467,21 @@ def test_grid_whose_start_fails_its_check_writes_nothing(tmp_path, capsys, monke
             assert not path.exists()
 
 
-@pytest.mark.parametrize("tau_end, steps", [(10.0, 201), (7.3, 4097), (1e17, 11), (5e-324, 3), (1e-310, 40001)])
-def test_tau_pieces_equal_linspace_slices(tau_end, steps):
-    # a piece of the tau axis is that slice of np.linspace, bit for bit,
-    # also where the step underflows to 0 (5e-324 / 2)
-    full = np.linspace(0.0, tau_end, steps)
-    for lo, hi in [(0, steps), (0, 1), (steps // 2, steps), (steps - 1, steps), (1, steps - 1)]:
-        assert cli._taus(tau_end, steps, lo, hi).tobytes() == full[lo:hi].tobytes()
+# tau axes, which start at 0 and are named by their end and size, then
+# fidelity axes
+@pytest.mark.parametrize("start, stop, num", [
+    *(pytest.param(0.0, stop, num, id=f"{stop}-{num}")
+      for stop, num in [(10.0, 201), (7.3, 4097), (1e17, 11), (5e-324, 3), (1e-310, 40001)]),
+    (0.2871, 0.9313, 1437), (0.8, 0.8, 4), (0.25, 1.0, 2), (0.25, math.nextafter(0.25, 1.0), 9),
+])
+def test_tau_pieces_equal_linspace_slices(start, stop, num):
+    # a slice of a grid axis, such as a block's pieces of 512 points, is
+    # that slice of np.linspace, bit for bit, also where the step underflows
+    # to 0 (5e-324 / 2), is 0 (start == stop) or is below start's ulp
+    full = np.linspace(start, stop, num)
+    pieces = [(lo, min(lo + 512, num)) for lo in range(0, num, 512)]
+    for lo, hi in [(0, num), (0, 1), (num // 2, num), (num - 1, num), (1, num - 1), *pieces]:
+        assert cli._axis(start, stop, num, lo, hi).tobytes() == full[lo:hi].tobytes()
 
 
 def _traced_peak(argv: list[str], path: Path) -> int:
@@ -482,15 +495,18 @@ def _traced_peak(argv: list[str], path: Path) -> int:
 
 
 def test_grid_memory_does_not_grow_with_the_grid(tmp_path):
-    # starts are evolved and rendered a block at a time, so twice
-    # the starts take no more memory at the peak (one block is 5 starts)
+    # starts are built, evolved and rendered a block at a time, so more
+    # starts take no more memory at the peak (one block is 5 starts of
+    # 201 tau points, or 512 starts of 2)
     path = tmp_path / "grid.out"
 
-    def peak(starts: int) -> int:
-        return _traced_peak(["sweep", "--channel", "amplitude", "--fidelity-steps", str(starts), "--format", "csv"], path)
+    def peak(starts: int, steps: int) -> int:
+        argv = ["sweep", "--channel", "amplitude", "--fidelity-steps", str(starts), "--steps", str(steps), "--format", "csv"]
+        return _traced_peak(argv, path)
 
-    peak(41)  # warm-up: first-call imports and caches
-    assert peak(81) - peak(41) <= 0.25e6
+    for steps, few, many in [(201, 41, 81), (2, 1001, 5001)]:
+        peak(few, steps)  # warm-up: first-call imports and caches
+        assert peak(many, steps) - peak(few, steps) <= 0.25e6
 
 
 def test_one_long_start_is_rendered_in_pieces(tmp_path):

@@ -79,12 +79,13 @@ SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200
 # start equal, populations constant along tau under phase noise (rendered
 # once per start), abs_w zero for werner-psi, and unequal rates, where no
 # two value columns are equal; then grids of several blocks (cli._BLOCK_ROWS = 1024 rows): 41
-# starts of 101 rows, in blocks of 10 starts and 1, and 3 starts of 4097
-# rows, each in pieces of 1024 rows and 1; then grids whose cells test the
-# edges of the JSON cell text: populations that pass through subnormals to
-# 0, short decimals and powers of two, and taus in exponent notation;
-# last, a start with 0.9e-12 of negative weight, within XState's rule,
-# whose population b tends to -9e-13
+# starts of 101 rows, in blocks of 10 starts and 1, 3 starts of 4097
+# rows, each in pieces of 1024 rows and 1, and 1437 starts of 2 rows over
+# a fidelity range that is not a round one, in blocks of 512, 512 and 413
+# starts; then grids whose cells test the edges of the JSON cell text:
+# populations that pass through subnormals to 0, short decimals and powers
+# of two, and taus in exponent notation; last, a start with 0.9e-12 of
+# negative weight, within XState's rule, whose population b tends to -9e-13
 GRIDS = [
     [*grid, "--format", fmt]
     for fmt in ("csv", "json")
@@ -101,6 +102,8 @@ GRIDS = [
         ["sweep", "--channel", "equalizing", "--family", "werner-phi", "--fidelity-steps", "41", "--steps", "101"],
         ["sweep", "--channel", "amplitude", "--family", "werner-psi", "--rate-b", "0.5",
          "--fidelity-steps", "3", "--steps", "4097"],
+        ["sweep", "--channel", "amplitude", "--family", "werner-phi", "--rate-a", "0.8",
+         "--fidelity-min", "0.2871", "--fidelity-max", "0.9313", "--fidelity-steps", "1437", "--steps", "2"],
         ["evolve", "--channel", "amplitude", "--family", "werner-psi", "--fidelity", "0.8",
          "--tau-max", "400", "--steps", "401"],
         ["evolve", "--channel", "phase", "--family", "custom-x",
