@@ -11,10 +11,10 @@ concurrence can hit zero at a finite time and stay there; local channels
 cannot recreate entanglement, so the searches below need only an exact sign
 test, on an expansion that neither cancels nor underflows (_Expansion), and
 a death time in closed form where a branch is quadratic, or else one
-root search (_root).  Every time here (horizons, time tolerances and
-results) is the dimensionless tau = rate_ref * t, with rate_ref the larger
-of the two channel rates.  The paper states its death times in the same
-unit, so no result is scaled by rate_ref.
+Brent-Dekker root search (_root).  Every time here (horizons, time
+tolerances and results) is the dimensionless tau = rate_ref * t, with
+rate_ref the larger of the two channel rates.  The paper states its death
+times in the same unit, so no result is scaled by rate_ref.
 """
 
 from __future__ import annotations
@@ -103,29 +103,47 @@ class EsdResult:
 def _root(
     value: Callable[[float], float], good: float, bad: float, vg: float, vb: float, tol: float
 ) -> float | None:
-    """Midpoint of a bracket, vg = value(good) > 0 >= vb = value(bad) with
-    either end the lower, the caller's values at its ends, shrunk by
-    Illinois false position to width tol, or to adjacent floats; None if
-    the ends lack those signs.  A step falls back to the midpoint where the
-    interpolated point is not strictly inside, or where the bracket failed
-    to halve in three steps: at worst 4x bisection's."""
+    """The end with the smaller |value| of a bracket on value's sign
+    change, vg = value(good) > 0 >= vb = value(bad) with either end the
+    lower, the caller's values at its ends, shrunk by Brent-Dekker (zeroin)
+    to width tol, or to adjacent floats; None if the ends lack those signs.
+    b is that end, c the other and a the previous b.  A step goes to the
+    root nearest b of the parabola through a, b and c, or along the secant
+    through a and b where a is c or the parabola has no real root.  Brent's
+    safeguards take the midpoint instead where |value| at b is not below
+    that at a, or the point lies beyond 3/4 of the way to c, or the step is
+    not below half the one before last.  A step is at least tol/2, and at least one
+    float; on a run of exact zeros, where b and a are both 0, the stride
+    doubles until it leaves the run."""
     if not vg > 0.0 >= vb:
         return None
-    side, widths = 0, (math.inf,) * 3
+    a, fa, b, fb, half = good, vg, bad, vb, 0.5 * tol
+    c, fc, d, e = a, fa, b - a, b - a
     while True:
-        lo, hi = min(good, bad), max(good, bad)
-        mid = 0.5 * (lo + hi)
-        if not (hi - lo > tol and lo < mid < hi):
-            return mid
-        x = good + (bad - good) * (vg / (vg - vb)) if vg > vb else mid
-        if not lo < x < hi or hi - lo > 0.5 * widths[0]:
-            x = mid
-        widths = widths[1:] + (hi - lo,)
-        vx = value(x)
-        if vx > 0.0:  # Illinois: an end kept twice running has its value halved
-            good, vg, vb, side = x, vx, vb * 0.5 if side > 0 else vb, 1
-        else:
-            bad, vb, vg, side = x, vx, vg * 0.5 if side < 0 else vg, -1
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        m, s = 0.5 * (c - b), math.nan
+        if not (abs(m) > half and min(b, c) < b + m < max(b, c)):
+            return b
+        if abs(e) >= half and abs(fa) > abs(fb):
+            s = -fb * (b - a) / (fb - fa)
+            if a != c:  # P(b + s) = fb + s * slope + s^2 * curve through a, b and c
+                curve = ((fc - fb) / (c - b) - (fb - fa) / (b - a)) / (c - a)
+                slope = (fb - fa) / (b - a) + (b - a) * curve
+                disc = slope * slope - 4.0 * curve * fb
+                if disc >= 0.0 and (den := slope + math.copysign(math.sqrt(disc), slope)) != 0.0:
+                    s = -2.0 * fb / den
+        e, d = (d, s) if s * m >= 0.0 and abs(s) < min(1.5 * abs(m) - 0.5 * half, 0.5 * abs(e)) else (m, m)
+        if fa == fb == 0.0 and abs(b - a) < 0.25 * abs(m):
+            e, d = d, 2.0 * (b - a)
+        x = b + (d if abs(d) > half else math.copysign(half, m))
+        if x == b:
+            x = math.nextafter(b, c)
+        elif not min(b, c) < x < max(b, c):
+            x = b + m
+        a, fa, b, fb = b, fb, x, value(x)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d, e = a, fa, b - a, b - a
 
 
 def esd_time_phase_werner(fidelity: float, *, horizon: float = _DEFAULT_HORIZON) -> EsdResult:
@@ -203,7 +221,7 @@ def _first_positive(sums: list[float]) -> int | None:
 
 
 class _Expansion:
-    """Both branches of an evolving X state's margin as sums of exponentials.
+    """The branches of an evolving X state's margin as sums of exponentials.
 
     With x = gamma^2 per qubit, each qubit's population map is
     T(x) = T(0) + x (T(1) - T(0)), both read off the channel table _MAPS, so
@@ -216,6 +234,8 @@ class _Expansion:
     (_tau_spec).  Terms of exactly equal exponent are merged (_plan), so
     leading terms cancel exactly, and the exponents are shifted so that the
     slowest surviving term is constant: nothing underflows to a false zero.
+    A branch of zero coherence, -a'd' or -b'c', is never positive and is
+    not built, so a Werner start has one branch and an X state at most two.
     sums(tau) gives every branch's shifted sum, concurrence(tau, sums) the
     concurrence from them, and death(terms) a branch's closed-form zero.
     """
@@ -227,6 +247,8 @@ class _Expansion:
         groups, shifts = _plan(alpha, beta)
         self.branches = []
         for coh, (r, s), (r2, s2) in ((abs(state.z), (0, 0), (1, 1)), (abs(state.w), (0, 1), (1, 0))):
+            if coh == 0.0:  # the branch is -a'd' or -b'c', never entangled
+                continue
             p = _population((t0[r], t1[r]), (t0[s], t1[s]), a, b, c, d)
             coef = _branch(p, _population((t0[r2], t1[r2]), (t0[s2], t1[s2]), a, b, c, d), coh)
             terms: list[tuple[float, float]] = []
@@ -252,13 +274,14 @@ class _Expansion:
     def concurrence(self, tau: float, sums: list[float]) -> float | None:
         """Concurrence without cancellation, from sums = sums(tau):
         C = 2 gamma_A gamma_B u / (|coh| + sqrt(|coh|^2 - u)) on the positive
-        branch, where u = branch / (x_A x_B) lies in (0, |coh|^2]; None if
-        no branch is positive, the state separable."""
+        branch, where u = branch / (x_A x_B) > 0 is clamped at |coh|^2, as
+        concurrence_x clamps a'd' and b'c' at 0; None if no branch is
+        positive, the state separable."""
         if (k := _first_positive(sums)) is None:
             return None
         coh, excess, _ = self.branches[k]
-        u = math.exp(math.log(sums[k]) - excess * tau)
-        root = math.sqrt(max(0.0, coh * coh - u))
+        u = min(coh * coh, math.exp(math.log(sums[k]) - excess * tau))
+        root = math.sqrt(coh * coh - u)
         return 2.0 * math.exp(-0.5 * self.decay * tau) * u / (coh + root)
 
     @staticmethod
@@ -294,14 +317,14 @@ def esd_time_numeric(
     """Locate the concurrence zero of an evolving X state.
 
     Entanglement, once lost, never returns under local channels, so one
-    exact sign test at the horizon decides the fate: a state with a
-    positive branch sum there (_Expansion.sums) is reported alive with its
+    exact sign test at the horizon decides the fate: a state with a positive
+    branch sum there (_Expansion.sums) is reported alive with its
     concurrence, computed without cancellation; otherwise the branch
     positive at 0 dies in closed form (_Expansion.death) or at its root in
-    [0, horizon] (_root), which takes that branch's sums at 0 and at the
-    horizon as its values at both ends.  The horizon, tol and the result
-    are all in tau.  The same path serves every channel kind and rate pair,
-    including a zero rate.  A state with zero initial concurrence is
+    [0, horizon] (_root, Brent-Dekker), which takes that branch's sums at 0
+    and at the horizon as its values at both ends.  The horizon, tol and the
+    result are all in tau.  The same path serves every channel kind and rate
+    pair, including a zero rate.  A state with zero initial concurrence is
     reported separable outright; an entangled one whose expansion rounds
     that margin away raises NumericalFailureError.
     """
@@ -344,7 +367,8 @@ def critical_fidelity_numeric(horizon: float = _DEFAULT_HORIZON, f_tol: float = 
     it.  A finite horizon (in tau) classifies very slow deaths as survival,
     which biases the returned boundary slightly below the analytic value;
     at horizon 60 the bias is far below f_tol.  The death times' _root runs
-    on the largest of _Expansion.sums there, positive iff entangled.
+    on the largest of _Expansion.sums there, positive iff entangled: on
+    werner_psi's one branch, quadratic in F, 3 probes past the 2 ends.
     """
     f_tol = _check_number("f_tol", f_tol, positive=True)
     horizon = _check_number("horizon", horizon, positive=True)

@@ -45,8 +45,10 @@ SEEDS = range(1, 6)
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # the reproducers of fixed defects, each once a wrong answer or a crash; the
-# last two still exit 3 (numerical failure) by design, in place of a wrong
-# death time, until the sudden-death expansion decides its signs exactly
+# third and fourth still exit 3 (numerical failure) by design, in place of a
+# wrong death time, until the sudden-death expansion decides its signs
+# exactly; the last three, a start with a = -1e-13, once followed its
+# branch of zero coherence
 FIXED = [
     ["esd", "--channel", "amplitude", "--family", "werner-psi", "--fidelity", "0.7",
      "--rate-b", "1e-17", "--horizon", "1e21"],
@@ -56,12 +58,15 @@ FIXED = [
      "--x-params", "1e-61,0.5,0.5,1e-61,1.5e-61,0,0,0", "--tol", "1e-300", "--format", "json"],
     ["esd", "--channel", "amplitude", "--family", "werner-phi", "--fidelity", "0.5000000000000001",
      "--rate-b", "1e-20", "--horizon", "1e-300"],
+] + [
+    ["esd", "--channel", kind, "--family", "custom-x", "--x-params=-1e-13,1e-30,0.5,0.5000000000001,0,0,1e-7,0"]
+    for kind in ("amplitude", "phase", "equalizing")
 ]
 
 # the root searches beyond the benchmark's horizons and tolerances: the
 # survival boundary at short and long horizons and a coarse tol, and deaths
 # at unequal rates, which no closed form covers, at a coarse and a fine tol
-SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("1", "5", "20", "200")] + [
+SEARCHES = [["critical-fidelity", "--horizon", h] for h in ("0.3", "1", "5", "20", "200")] + [
     ["critical-fidelity", "--tol", "1e-6", "--format", "json"],
 ] + [
     ["esd", "--channel", kind, *state, "--rate-b", "2.5", "--tol", tol, "--format", "json"]
